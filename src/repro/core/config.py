@@ -8,7 +8,7 @@ that sprawl:
 
 - :class:`TransportConfig` — everything about *how bytes move*: call
   timeout, control-channel pipelining window, data-channel read-ahead
-  depth, binary wire-format negotiation policy, the HMAC secret;
+  depth, the HMAC secret;
 - :class:`SessionConfig` — everything about *how the session behaves*:
   resilience, the health gate, profiling, durable campaign journaling,
   the health-rule window.
@@ -22,24 +22,18 @@ Example::
     import repro
     from repro.core.config import TransportConfig, SessionConfig
 
-    transport = TransportConfig(pipeline_depth=8, binary="auto")
+    transport = TransportConfig(pipeline_depth=8)
     policy = SessionConfig(resilient=True, require_healthy=True)
     with repro.connect(transport=transport, session=policy) as s:
         s.run_workflow()           # health-gated per the SessionConfig
-
-The legacy loose kwargs (``resilient=``, ``health_window_s=``) still
-work but emit :class:`DeprecationWarning`; they are mapped onto a
-config object internally.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import WorkflowError
-
-_BINARY_CHOICES = (True, False, "auto")
 
 
 @dataclass(frozen=True)
@@ -54,12 +48,6 @@ class TransportConfig:
         pipeline_depth: data-channel read-ahead depth — how many
             ``read_chunk`` requests a mount keeps in flight during bulk
             reads. 1 = one WAN round trip per chunk.
-        binary: wire-format negotiation policy (PROTOCOLS §1.7).
-            ``"auto"`` negotiates binary bulk framing with v2 peers and
-            falls back to JSON against old daemons; ``False`` pins the
-            JSON v1 wire; ``True`` requires v2 and raises
-            :class:`~repro.errors.ProtocolError` against a JSON-only
-            peer.
         secret: HMAC challenge-response secret for URI-mode connects
             (in-process ICEs supply their own from ``ICEConfig``).
     """
@@ -67,7 +55,6 @@ class TransportConfig:
     timeout: float | None = 120.0
     max_inflight: int = 1
     pipeline_depth: int = 1
-    binary: bool | str = "auto"
     secret: bytes | None = None
 
     def __post_init__(self) -> None:
@@ -78,10 +65,6 @@ class TransportConfig:
         if self.pipeline_depth < 1:
             raise WorkflowError(
                 f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
-            )
-        if self.binary not in _BINARY_CHOICES:
-            raise WorkflowError(
-                f"binary must be True, False or 'auto', got {self.binary!r}"
             )
 
 
@@ -142,50 +125,3 @@ class SessionConfig:
                 f"{self.trace_slow_threshold_s}"
             )
 
-
-def merge_legacy_kwargs(
-    session: SessionConfig | None,
-    *,
-    warn: bool = True,
-    **legacy: object,
-) -> SessionConfig:
-    """Fold deprecated loose kwargs into a :class:`SessionConfig`.
-
-    ``connect()`` calls this with whatever legacy keywords the caller
-    passed (``resilient=``, ``health_window_s=``); each one set emits a
-    :class:`DeprecationWarning` naming its replacement field. Passing a
-    legacy kwarg *and* an explicit ``session=`` config that disagree is
-    an error — silently preferring either would hide a bug at the call
-    site.
-    """
-    import warnings
-
-    provided = {k: v for k, v in legacy.items() if v is not None}
-    base = session if session is not None else SessionConfig()
-    if not provided:
-        return base
-    for name in provided:
-        if name not in ("resilient", "health_window_s"):
-            raise TypeError(f"unknown legacy session kwarg {name!r}")
-        if warn:
-            warnings.warn(
-                f"connect({name}=...) is deprecated; pass "
-                f"session=SessionConfig({name}=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-    if session is not None:
-        conflicts = [
-            name
-            for name, value in provided.items()
-            if getattr(session, name) != value
-        ]
-        if conflicts:
-            raise WorkflowError(
-                "conflicting session configuration: "
-                + ", ".join(
-                    f"{n}= disagrees with session.{n}" for n in conflicts
-                )
-            )
-        return session
-    return replace(base, **provided)

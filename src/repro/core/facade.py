@@ -36,11 +36,7 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from repro.core.config import (
-    SessionConfig,
-    TransportConfig,
-    merge_legacy_kwargs,
-)
+from repro.core.config import SessionConfig, TransportConfig
 from repro.errors import WorkflowError
 from repro.obs import JsonlSpanExporter, MetricsRegistry, Tracer
 from repro.obs.analysis import TraceIndex, TraceSampler
@@ -111,7 +107,6 @@ class Session:
         *,
         transport: TransportConfig | None = None,
         session: SessionConfig | None = None,
-        resilient: bool | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         classifier: NormalityClassifier | None = None,
@@ -119,15 +114,12 @@ class Session:
         data_uri: str | None = None,
         cache_dir: str | Path | None = None,
         flight_dir: str | Path | None = None,
-        health_window_s: float | None = None,
         breaker: Any = None,
     ):
         self.transport_config = (
             transport if transport is not None else TransportConfig()
         )
-        self.session_config = merge_legacy_kwargs(
-            session, resilient=resilient, health_window_s=health_window_s
-        )
+        self.session_config = session if session is not None else SessionConfig()
         self._owns_ice = False
         self.ice: ElectrochemistryICE | None = None
         self.tracer = tracer if tracer is not None else Tracer("dgx-session")
@@ -220,7 +212,6 @@ class Session:
                 tracer=self.tracer,
                 metrics=self.metrics,
                 max_inflight=self.transport_config.max_inflight,
-                binary=self.transport_config.binary,
             )
             self._cache = Path(
                 cache_dir
@@ -232,7 +223,6 @@ class Session:
                 tracer=self.tracer,
                 metrics=self.metrics,
                 pipeline_depth=self.transport_config.pipeline_depth,
-                binary=self.transport_config.binary,
             )
         else:
             from repro.resilience import RetryPolicy
@@ -248,7 +238,6 @@ class Session:
                 tracer=self.tracer,
                 metrics=self.metrics,
                 max_inflight=self.transport_config.max_inflight,
-                binary=self.transport_config.binary,
             )
             self.datachannel = None
             if data_uri is not None:
@@ -267,7 +256,6 @@ class Session:
                         tracer=self.tracer,
                         metrics=self.metrics,
                         max_inflight=self.transport_config.pipeline_depth,
-                        binary=self.transport_config.binary,
                     ),
                     cache_dir=self._cache,
                     metrics=self.metrics,
@@ -981,7 +969,6 @@ def connect(
     *,
     transport: TransportConfig | None = None,
     session: SessionConfig | None = None,
-    resilient: bool | None = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     classifier: NormalityClassifier | None = None,
@@ -989,7 +976,6 @@ def connect(
     data_uri: str | None = None,
     cache_dir: str | Path | None = None,
     flight_dir: str | Path | None = None,
-    health_window_s: float | None = None,
     breaker: Any = None,
 ) -> Session:
     """Open a :class:`Session` against an ICE, a URI, or a fresh build.
@@ -1000,14 +986,12 @@ def connect(
             ``PYRO:`` control-channel URI.
         transport: :class:`~repro.core.config.TransportConfig` — call
             timeout, control-channel pipelining window, data-channel
-            read-ahead depth, binary wire negotiation policy. Defaults
-            to ``TransportConfig()``.
+            read-ahead depth, HMAC secret. Defaults to
+            ``TransportConfig()``.
         session: :class:`~repro.core.config.SessionConfig` — resilience,
             the pre-flight health gate, profiling, durable campaign
             journaling, the health window. Defaults to
             ``SessionConfig()``.
-        resilient: deprecated; pass
-            ``session=SessionConfig(resilient=...)`` instead.
         tracer: share an existing :class:`~repro.obs.Tracer`; a fresh
             one is created otherwise.
         metrics: share an existing :class:`~repro.obs.MetricsRegistry`;
@@ -1020,8 +1004,6 @@ def connect(
         cache_dir: local cache for fetched measurement files.
         flight_dir: where flight-recorder black boxes are written
             (defaults to ``<cache_dir>/flight-recorder``).
-        health_window_s: deprecated; pass
-            ``session=SessionConfig(health_window_s=...)`` instead.
         breaker: share a :class:`~repro.resilience.CircuitBreaker` for
             the control channel; its trips dump a flight recording.
     """
@@ -1029,7 +1011,6 @@ def connect(
         target,
         transport=transport,
         session=session,
-        resilient=resilient,
         tracer=tracer,
         metrics=metrics,
         classifier=classifier,
@@ -1037,6 +1018,5 @@ def connect(
         data_uri=data_uri,
         cache_dir=cache_dir,
         flight_dir=flight_dir,
-        health_window_s=health_window_s,
         breaker=breaker,
     )

@@ -21,13 +21,9 @@ from repro.datachannel.share import CHUNK_SIZE, FileStat
 class Mount:
     """A mounted remote share.
 
-    Bulk reads inherit the proxy's wire format: against a protocol-v2
-    daemon (negotiated via ``binary="auto"``, PROTOCOLS §1.7) each
-    ``read_chunk`` reply carries the chunk as a raw binary blob instead
-    of base64-inside-JSON, so a mount built from
-    :meth:`repro.facility.ice.ElectrochemistryICE.mount` gets zero-copy
-    framing without any change here — the chunks arrive as ``bytes``
-    either way.
+    Each ``read_chunk`` reply carries its chunk as a raw blob in a wire
+    v2 frame (PROTOCOLS §1.7), not base64-inside-JSON; the chunks
+    arrive here as ``bytes``.
 
     Args:
         proxy: connected proxy to the share service.

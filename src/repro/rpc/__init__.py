@@ -10,10 +10,9 @@ reimplements the subset the paper uses, with the same shape:
   returns a ``PYRO:ObjectId@host:port`` URI, ``daemon.request_loop()``
   serves until shut down (a background-thread variant is provided).
   Serving runs on a selector reactor for TCP listeners (one event-loop
-  thread, bounded per-connection outboxes with backpressure) and falls
-  back to a reader thread per connection for the simulated network;
-  :class:`ThreadedDaemon` keeps the old thread-per-connection, JSON-only
-  daemon alive as the benchmark baseline and mixed-version interop peer;
+  thread, bounded per-connection outboxes with backpressure) and on a
+  blocking reader thread per connection for listeners without a file
+  descriptor (the simulated network, delayed loopback);
 - :class:`Proxy` connects to a URI and forwards attribute calls; built
   with ``max_inflight > 1`` it pipelines requests (PROTOCOLS §1.4) and
   offers :meth:`Proxy.pipeline` for explicit bursts;
@@ -22,10 +21,9 @@ reimplements the subset the paper uses, with the same shape:
 
 Serialisation is JSON with explicit type tags (bytes, ndarray, tuple, set,
 complex, non-string-keyed dicts); pickle is deliberately not used because
-the control channel crosses facility trust boundaries. Peers that both
-speak protocol v2 (negotiated via a HELLO handshake on connect) switch to
-binary bulk framing — bulk ndarrays and bytes travel as raw blobs after a
-JSON envelope instead of base64 (PROTOCOLS §1.7).
+the control channel crosses facility trust boundaries. Every frame uses
+binary bulk framing (wire v2, PROTOCOLS §1.7): a tagged-JSON envelope
+followed by raw blobs, so bulk ndarrays and bytes never travel as base64.
 
 Example::
 
@@ -51,7 +49,6 @@ from repro.rpc.serialization import (
     deserialize_binary,
 )
 from repro.rpc.daemon import Daemon
-from repro.rpc.threaded import ThreadedDaemon
 from repro.rpc.proxy import PendingReply, Pipeline, Proxy, ProxyPool
 from repro.rpc.naming import (
     NameServer,
@@ -72,7 +69,6 @@ __all__ = [
     "serialize_binary",
     "deserialize_binary",
     "Daemon",
-    "ThreadedDaemon",
     "Proxy",
     "ProxyPool",
     "Pipeline",

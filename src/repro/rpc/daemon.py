@@ -13,11 +13,10 @@ Serving has two modes, chosen by the listener's capabilities:
   inline on the loop by default (``workers=0``, fastest for short
   verbs) or on a small worker pool (``workers=N``) when handlers block
   on instruments; either way calls from one connection execute in
-  order, exactly like the old thread-per-connection daemon.
+  order, exactly as on the blocking path below.
 - **threaded** (the simulated ICE network, delayed loopback): those
-  transports are condition-variable byte pipes with no descriptor to
-  select on, so each connection gets a blocking reader thread sharing
-  the same dispatch core.
+  listeners have no descriptor to select on, so a blocking accept loop
+  hands each connection a reader thread sharing the same dispatch core.
 
 Dispatch rules (identical in both modes):
 
@@ -27,13 +26,16 @@ Dispatch rules (identical in both modes):
   :class:`RemoteInvocationError` (or the matching ``repro.errors`` class
   when one exists — instrument errors keep their identity end to end);
 - ``@oneway`` methods are acknowledged before execution;
-- every reply is encoded in the wire version of the request frame, so
-  one daemon serves old JSON-only clients and binary-negotiated ones on
-  neighbouring connections (PROTOCOLS §1.7).
+- frames are wire v2 only (PROTOCOLS §1.7); a frame with any other
+  version byte, or the retired HELLO type, earns an ERROR reply and a
+  dropped connection.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import os
 import queue
 import threading
 import time
@@ -43,6 +45,7 @@ from collections import OrderedDict, deque
 from typing import Any
 
 from repro.errors import (
+    AuthenticationError,
     CommunicationError,
     ConnectionClosedError,
     MethodNotExposedError,
@@ -53,12 +56,9 @@ from repro.errors import (
 from repro.logging_utils import EventLog
 from repro.rpc.expose import exposed_methods, is_exposed, is_oneway
 from repro.rpc.protocol import (
-    BINARY_VERSION,
-    VERSION,
     Message,
     MessageType,
     error_body,
-    negotiate_version,
     recv_message,
     request_idempotency_key,
     request_lease,
@@ -266,12 +266,7 @@ class Daemon:
             verbs genuinely block (acquisitions, file I/O).
         max_outbox_bytes: per-connection outbound buffer bound before
             backpressure pauses reading from that client.
-        max_wire_version: highest protocol version this daemon speaks;
-            HELLO negotiation never settles above it.
     """
-
-    _use_reactor = True  # ThreadedDaemon (benchmark baseline) flips this
-    _speaks_hello = True  # old peers predate HELLO: unknown type, drop
 
     def __init__(
         self,
@@ -288,7 +283,6 @@ class Daemon:
         lease_registry: Any = None,
         workers: int = 0,
         max_outbox_bytes: int = DEFAULT_MAX_OUTBOX_BYTES,
-        max_wire_version: int = BINARY_VERSION,
     ):
         self._listener = listener if listener is not None else TCPListener(host, port)
         self._secret = secret
@@ -303,8 +297,6 @@ class Daemon:
         self._dedup_journal = dedup_journal
         self._workers = max(0, int(workers))
         self._pool: _WorkerPool | None = None
-        self._max_outbox_bytes = max_outbox_bytes
-        self._max_wire_version = max_wire_version
         self._dispatch_lock = threading.Lock()
         self.lease_registry = lease_registry
         self.log = event_log if event_log is not None else EventLog()
@@ -317,7 +309,7 @@ class Daemon:
         self.tracer = tracer
         self.metrics = metrics
         self._reactor: Reactor | None = None
-        if self._use_reactor and self._listener_selectable():
+        if self._listener_selectable():
             self._reactor = Reactor(
                 self._listener,
                 on_connect=self._reactor_connect,
@@ -553,24 +545,21 @@ class Daemon:
         if self._secret is None:
             client.data["stage"] = "ready"
             return
-        import os
-
-        nonce = os.urandom(32)
         client.data["stage"] = "auth"
-        client.data["nonce"] = nonce
-        client.reply(Message(MessageType.CHALLENGE, 0, {"nonce": nonce.hex()}))
+        client.data["nonce"] = self._challenge(client)
 
     def _reactor_frame(self, client: ReactorClient, msg: Message) -> None:
-        if msg.version > self._max_wire_version:
-            raise ProtocolError(f"unsupported protocol version {msg.version}")
         if client.data.get("stage") == "auth":
-            self._check_auth(client, msg)
+            if self._authenticated(client, client.data["nonce"], msg):
+                client.data["stage"] = "ready"
+            else:
+                client.close_after_flush()
             return
         if self._pool is None:
             self._dispatch(client, msg)
             return
         # per-connection ordered queue: at most one worker drains a given
-        # connection at a time, preserving the old thread-per-connection
+        # connection at a time, preserving the blocking path's per-connection
         # execution order while letting connections run in parallel
         with self._dispatch_lock:
             pending: deque = client.data.setdefault("pending", deque())
@@ -624,13 +613,22 @@ class Daemon:
             if pending:
                 pending.clear()
 
-    def _check_auth(self, client: ReactorClient, msg: Message) -> None:
-        import hashlib
-        import hmac
+    # -- HMAC challenge-response (both serving modes) ------------------------
+    @staticmethod
+    def _challenge(client: Any) -> bytes:
+        """Send a fresh CHALLENGE; returns its nonce."""
+        nonce = os.urandom(32)
+        client.reply(Message(MessageType.CHALLENGE, 0, {"nonce": nonce.hex()}))
+        return nonce
 
-        from repro.errors import AuthenticationError
+    def _authenticated(self, client: Any, nonce: bytes, msg: Message) -> bool:
+        """Judge the peer's answer to ``nonce`` and reply to it.
 
-        nonce = client.data.get("nonce", b"")
+        True (after an ``auth: ok`` RESPONSE) when ``msg`` is an AUTH
+        frame carrying HMAC-SHA256(secret, nonce); otherwise logs the
+        failure, replies ERROR and returns False — the caller drops the
+        connection its own way.
+        """
         expected = hmac.new(self._secret or b"", nonce, hashlib.sha256).hexdigest()
         provided = msg.body.get("hmac") if isinstance(msg.body, dict) else None
         if (
@@ -642,42 +640,19 @@ class Daemon:
             self._try_reply_error(
                 client, msg.seq, AuthenticationError("bad or missing credentials")
             )
-            client.close_after_flush()
-            return
-        client.data["stage"] = "ready"
+            return False
         client.reply(Message(MessageType.RESPONSE, msg.seq, {"auth": "ok"}))
+        return True
 
     # -- threaded serving (sim network / delayed loopback) ---------------------
     def _authenticate(self, client: _ThreadedClient) -> bool:
         """Run the challenge-response; True when the peer may proceed."""
-        import hashlib
-        import hmac
-        import os
-
-        from repro.errors import AuthenticationError
-
-        nonce = os.urandom(32)
-        client.reply(Message(MessageType.CHALLENGE, 0, {"nonce": nonce.hex()}))
+        nonce = self._challenge(client)
         try:
             reply = recv_message(client.conn)
         except (ConnectionClosedError, ProtocolError, SerializationError):
             return False
-        expected = hmac.new(self._secret or b"", nonce, hashlib.sha256).hexdigest()
-        provided = (
-            reply.body.get("hmac") if isinstance(reply.body, dict) else None
-        )
-        if (
-            reply.msg_type is not MessageType.AUTH
-            or not isinstance(provided, str)
-            or not hmac.compare_digest(provided, expected)
-        ):
-            self.log.emit("daemon", "auth", f"authentication failed for {client.peer}")
-            self._try_reply_error(
-                client, reply.seq, AuthenticationError("bad or missing credentials")
-            )
-            return False
-        client.reply(Message(MessageType.RESPONSE, reply.seq, {"auth": "ok"}))
-        return True
+        return self._authenticated(client, nonce, reply)
 
     def _serve_connection(self, conn: Connection) -> None:
         client = _ThreadedClient(conn)
@@ -687,17 +662,6 @@ class Daemon:
             while self._running.is_set():
                 try:
                     msg = recv_message(conn)
-                    if msg.version > self._max_wire_version:
-                        raise ProtocolError(
-                            f"unsupported protocol version {msg.version}"
-                        )
-                    if (
-                        msg.msg_type is MessageType.HELLO
-                        and not self._speaks_hello
-                    ):
-                        # a daemon predating HELLO dies at frame decode
-                        # ("unknown message type 9"): error, then drop
-                        raise ProtocolError("unknown message type 9")
                 except ConnectionClosedError:
                     break
                 except (ProtocolError, SerializationError) as exc:
@@ -719,10 +683,7 @@ class Daemon:
     # -- dispatch core (mode-agnostic) ----------------------------------------
     def _handle_message(self, client: Any, msg: Message) -> None:
         if msg.msg_type == MessageType.PING:
-            client.reply(Message(MessageType.PONG, msg.seq, None, version=msg.version))
-            return
-        if msg.msg_type == MessageType.HELLO:
-            self._handle_hello(client, msg)
+            client.reply(Message(MessageType.PONG, msg.seq, None))
             return
         if msg.msg_type == MessageType.METADATA:
             self._handle_metadata(client, msg)
@@ -734,18 +695,6 @@ class Daemon:
             client,
             msg.seq,
             ProtocolError(f"unexpected message type {msg.msg_type}"),
-            version=msg.version,
-        )
-
-    def _handle_hello(self, client: Any, msg: Message) -> None:
-        agreed = negotiate_version(msg.body, self._max_wire_version)
-        client.reply(
-            Message(
-                MessageType.RESPONSE,
-                msg.seq,
-                {"version": agreed},
-                version=msg.version,
-            )
         )
 
     def _handle_metadata(self, client: Any, msg: Message) -> None:
@@ -759,11 +708,9 @@ class Daemon:
                 "methods": methods,
                 "oneway": [m for m in methods if is_oneway(obj, m)],
             }
-            client.reply(
-                Message(MessageType.RESPONSE, msg.seq, body, version=msg.version)
-            )
+            client.reply(Message(MessageType.RESPONSE, msg.seq, body))
         except Exception as exc:  # noqa: BLE001 - must answer the client
-            self._try_reply_error(client, msg.seq, exc, version=msg.version)
+            self._try_reply_error(client, msg.seq, exc)
 
     def _handle_request(self, client: Any, msg: Message) -> None:
         # Fencing precedes dedup: a fenced request must never execute
@@ -788,7 +735,7 @@ class Daemon:
                     epoch=lease["epoch"],
                 )
                 if not msg.oneway:
-                    self._try_reply_error(client, msg.seq, exc, version=msg.version)
+                    self._try_reply_error(client, msg.seq, exc)
                 return
         key = request_idempotency_key(msg.body)
         if key is not None:
@@ -861,7 +808,7 @@ class Daemon:
         if msg.oneway:
             return
         try:
-            client.reply(Message(msg_type, msg.seq, body, version=msg.version))
+            client.reply(Message(msg_type, msg.seq, body))
         except (ConnectionClosedError, SerializationError):
             pass
 
@@ -888,15 +835,13 @@ class Daemon:
         except Exception as exc:  # noqa: BLE001
             record(MessageType.ERROR, self._error_body_for(exc))
             if not msg.oneway:
-                self._try_reply_error(client, msg.seq, exc, version=msg.version)
+                self._try_reply_error(client, msg.seq, exc)
             return
 
         if msg.oneway or is_oneway(obj, method_name):
             if not msg.oneway:
                 # Client used a normal call on a @oneway method: ack first.
-                client.reply(
-                    Message(MessageType.RESPONSE, msg.seq, None, version=msg.version)
-                )
+                client.reply(Message(MessageType.RESPONSE, msg.seq, None))
             try:
                 self._invoke_logged(
                     object_id,
@@ -917,20 +862,13 @@ class Daemon:
             )
         except Exception as exc:  # noqa: BLE001 - remote errors travel as frames
             record(MessageType.ERROR, self._error_body_for(exc))
-            self._try_reply_error(client, msg.seq, exc, version=msg.version)
+            self._try_reply_error(client, msg.seq, exc)
             return
         record(MessageType.RESPONSE, {"result": result})
         try:
-            client.reply(
-                Message(
-                    MessageType.RESPONSE,
-                    msg.seq,
-                    {"result": result},
-                    version=msg.version,
-                )
-            )
+            client.reply(Message(MessageType.RESPONSE, msg.seq, {"result": result}))
         except SerializationError as exc:
-            self._try_reply_error(client, msg.seq, exc, version=msg.version)
+            self._try_reply_error(client, msg.seq, exc)
 
     def _invoke_logged(
         self,
@@ -1031,11 +969,9 @@ class Daemon:
             code=code if isinstance(code, str) else "",
         )
 
-    def _try_reply_error(
-        self, client: Any, seq: int, exc: Exception, version: int = VERSION
-    ) -> None:
+    def _try_reply_error(self, client: Any, seq: int, exc: Exception) -> None:
         body = self._error_body_for(exc)
         try:
-            client.reply(Message(MessageType.ERROR, seq, body, version=version))
+            client.reply(Message(MessageType.ERROR, seq, body))
         except (ConnectionClosedError, SerializationError):
             pass

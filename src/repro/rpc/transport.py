@@ -50,7 +50,7 @@ class Connection:
 
         Raises :class:`OSError` for purely in-process transports (the
         simulated network's byte pipes) — the daemon probes this to
-        decide between the selector reactor and threaded serving.
+        decide between the selector reactor and blocking serving.
         """
         raise OSError("transport has no OS file descriptor")
 
@@ -199,6 +199,12 @@ class TCPListener(Listener):
         return TCPConnection(sock)
 
     def close(self) -> None:
+        # on Linux, close() alone does not wake a thread blocked in
+        # accept(); shutdown() does (the accept fails with EINVAL)
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
 
     def fileno(self) -> int:

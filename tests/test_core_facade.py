@@ -120,29 +120,11 @@ class TestConfigObjects:
         ) as session:
             assert not session.client.resilient
 
-    def test_legacy_resilient_kwarg_warns_and_maps(self, ice):
-        with pytest.warns(DeprecationWarning, match="SessionConfig"):
-            session = repro.connect(ice, resilient=False)
-        try:
-            assert not session.client.resilient
-            assert session.session_config.resilient is False
-        finally:
-            session.close()
-
-    def test_legacy_kwarg_conflicting_with_config_rejected(self, ice):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(WorkflowError, match="conflicting"):
-                repro.connect(
-                    ice,
-                    session=SessionConfig(resilient=True),
-                    resilient=False,
-                )
-
     def test_config_validation(self):
         with pytest.raises(WorkflowError):
             TransportConfig(max_inflight=0)
         with pytest.raises(WorkflowError):
-            TransportConfig(binary="yes please")
+            TransportConfig(pipeline_depth=0)
         with pytest.raises(WorkflowError):
             SessionConfig(health_window_s=0)
 

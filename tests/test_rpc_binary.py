@@ -1,10 +1,11 @@
-"""Binary bulk framing (wire v2) and mixed-version interop.
+"""Binary bulk framing (wire v2), the only RPC frame format.
 
 Covers the PROTOCOLS §1.7 surface: the blob-hoisting codec, the framed
 v2 payload, torn/oversized-frame handling (stable ``RPC_FRAME_CORRUPT``
-code), and the HELLO negotiation matrix — a binary-capable client
-against a JSON-only daemon and vice versa must converge on a working
-wire, never a dead connection.
+code), and the retired inputs — a version-1 header or the reserved
+message type 9 (the old HELLO handshake) — which both serving paths
+(reactor over TCP, blocking reader over the sim network) answer with an
+ERROR and a dropped connection.
 """
 
 from __future__ import annotations
@@ -12,22 +13,25 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.clock import VirtualClock
 from repro.errors import (
+    ConnectionClosedError,
     FrameCorruptError,
     ProtocolError,
     SerializationError,
 )
+from repro.net.links import LinkSpec
+from repro.net.simtransport import SimNetwork
+from repro.net.topology import Topology
 from repro.rpc import (
     Daemon,
     Proxy,
-    ThreadedDaemon,
     deserialize_binary,
     expose,
     serialize,
     serialize_binary,
 )
 from repro.rpc.protocol import (
-    BINARY_VERSION,
     HEADER,
     MAGIC,
     MAX_PAYLOAD,
@@ -36,12 +40,15 @@ from repro.rpc.protocol import (
     MessageType,
     encode_message,
     parse_header,
+    recv_message,
+    request_body,
 )
+from repro.rpc.transport import connect_tcp
 
 
 @expose
 class BulkService:
-    """Echo plus bulk producers, for exercising both wire versions."""
+    """Echo plus bulk producers."""
 
     def echo(self, value):
         return value
@@ -60,20 +67,42 @@ class BulkService:
         }
 
 
-@pytest.fixture()
-def reactor_daemon():
+def _serve_tcp():
+    """A daemon on a TCP listener: the reactor path.
+
+    Returns ``(daemon, uri, factory)`` like :func:`_serve_sim`; the
+    factory is None because proxies dial TCP by default.
+    """
     daemon = Daemon(host="127.0.0.1")
     uri = daemon.register(BulkService(), object_id="Bulk")
     daemon.start_background()
-    yield daemon, uri
-    daemon.shutdown()
+    return daemon, uri, None
+
+
+def _serve_sim():
+    """A daemon on the simulated network: no descriptor, blocking path.
+
+    Returns ``(daemon, uri, factory)``; ``factory(host, port)`` dials
+    from the client host.
+    """
+    topo = Topology(clock=VirtualClock())
+    topo.add_facility("ACL")
+    topo.add_host("agent", "ACL")
+    topo.add_host("dgx", "ACL")
+    topo.add_network("hub", "ACL")
+    for host in ("agent", "dgx"):
+        topo.attach(host, "hub", LinkSpec())
+    topo.host("agent").firewall.allow_port(9000)
+    net = SimNetwork(topo)
+    daemon = Daemon(listener=net.listen("agent", 9000))
+    uri = daemon.register(BulkService(), object_id="Bulk")
+    daemon.start_background()
+    return daemon, uri, net.connection_factory("dgx")
 
 
 @pytest.fixture()
-def json_daemon():
-    daemon = ThreadedDaemon(host="127.0.0.1")
-    uri = daemon.register(BulkService(), object_id="Bulk")
-    daemon.start_background()
+def reactor_daemon():
+    daemon, uri, _ = _serve_tcp()
     yield daemon, uri
     daemon.shutdown()
 
@@ -133,19 +162,11 @@ class TestBinaryCodec:
 
 class TestBinaryFrames:
     def test_v2_message_round_trips(self):
-        msg = Message(
-            MessageType.RESPONSE,
-            7,
-            {"result": np.arange(10.0)},
-            version=BINARY_VERSION,
-        )
+        msg = Message(MessageType.RESPONSE, 7, {"result": np.arange(10.0)})
         raw = encode_message(msg)
-        version, msg_type, flags, seq, length = parse_header(raw[:16])
-        assert (version, msg_type, seq) == (
-            BINARY_VERSION,
-            MessageType.RESPONSE,
-            7,
-        )
+        assert raw[4] == VERSION == 2
+        msg_type, flags, seq, length = parse_header(raw[:16])
+        assert (msg_type, seq) == (MessageType.RESPONSE, 7)
         assert length == len(raw) - 16
         body = deserialize_binary(raw[16:])
         np.testing.assert_array_equal(body["result"], np.arange(10.0))
@@ -166,123 +187,34 @@ class TestBinaryFrames:
             parse_header(header)
 
 
-class TestVersionNegotiation:
-    def test_auto_client_on_reactor_daemon_goes_binary(self, reactor_daemon):
+class TestBinaryWire:
+    def test_reactor_daemon_serves_bulk(self, reactor_daemon):
         daemon, uri = reactor_daemon
         with Proxy(uri) as proxy:
             trace = proxy.wave(5000)
-            assert proxy.wire_version == BINARY_VERSION
             assert trace.shape == (5000,)
             assert daemon.serving_mode == "reactor"
 
-    def test_auto_client_on_json_daemon_falls_back(self, json_daemon):
-        daemon, uri = json_daemon
-        with Proxy(uri) as proxy:
-            trace = proxy.wave(100)
-            assert proxy.wire_version == VERSION
-            np.testing.assert_allclose(trace[-1], 1.0)
-            assert daemon.serving_mode == "threaded"
-
-    def test_pinned_json_client_on_reactor_daemon(self, reactor_daemon):
-        _, uri = reactor_daemon
-        # an old peer never sends HELLO; the daemon must answer v1 frames
-        # with v1 frames without any negotiation at all
-        with Proxy(uri, binary=False) as proxy:
-            assert proxy.wire_version == VERSION
-            assert proxy.echo({"k": (1, 2)}) == {"k": (1, 2)}
-
-    def test_required_binary_against_json_daemon_raises(self, json_daemon):
-        _, uri = json_daemon
-        with Proxy(uri, binary=True) as proxy:
-            with pytest.raises(ProtocolError):
-                proxy.echo(1)
-
-    def test_negotiation_survives_reconnect(self, reactor_daemon):
+    def test_reconnect_keeps_working(self, reactor_daemon):
         _, uri = reactor_daemon
         with Proxy(uri) as proxy:
-            proxy.echo(1)
-            assert proxy.wire_version == BINARY_VERSION
+            assert proxy.echo(1) == 1
             proxy.close()  # drop the connection, keep the proxy
             assert proxy.echo(2) == 2
-            assert proxy.wire_version == BINARY_VERSION
 
-    def test_reconnect_to_downgraded_peer_renegotiates(self):
-        # the endpoint's daemon is replaced between connections: a v2
-        # reactor daemon settles the proxy on binary, then dies, and a
-        # JSON-only ThreadedDaemon takes over the same host:port. The
-        # cached v2 verdict must not be replayed at the new peer — the
-        # next dial re-runs HELLO and settles on v1
-        daemon = Daemon(host="127.0.0.1")
-        daemon.register(BulkService(), object_id="Bulk")
-        daemon.start_background()
-        host, port = daemon.address
-        uri = f"PYRO:Bulk@{host}:{port}"
-        proxy = Proxy(uri)
-        successor = None
+    def test_bulk_payloads_identical_across_serving_paths(self, reactor_daemon):
+        _, tcp_uri = reactor_daemon
+        sim_daemon, sim_uri, factory = _serve_sim()
         try:
-            proxy.echo(1)
-            assert proxy.wire_version == BINARY_VERSION
-            daemon.shutdown()
-
-            successor = ThreadedDaemon(host=host, port=port)
-            successor.register(BulkService(), object_id="Bulk")
-            successor.start_background()
-            # the stale socket fails once; the redial must renegotiate
-            with pytest.raises(Exception):
-                proxy.echo(2)
-            assert proxy.echo(3) == 3
-            assert proxy.wire_version == VERSION
-            trace = proxy.wave(100)
-            np.testing.assert_allclose(trace[-1], 1.0)
+            with Proxy(tcp_uri) as fast, Proxy(
+                sim_uri, connection_factory=factory
+            ) as blocking:
+                a, b = fast.table(256), blocking.table(256)
         finally:
-            proxy.close()
-            daemon.shutdown()
-            if successor is not None:
-                successor.shutdown()
-
-    def test_pool_member_renegotiates_after_daemon_swap(self):
-        # same swap, but through a ProxyPool lease: the member checked
-        # out after the restart carries a dead connection and a cached
-        # v2 verdict; its redial must downgrade cleanly to the new peer
-        from repro.rpc import ProxyPool
-
-        daemon = Daemon(host="127.0.0.1")
-        daemon.register(BulkService(), object_id="Bulk")
-        daemon.start_background()
-        host, port = daemon.address
-        uri = f"PYRO:Bulk@{host}:{port}"
-        pool = ProxyPool(uri, size=1)
-        successor = None
-        try:
-            assert pool.call("echo", 1) == 1
-            with pool.acquire() as member:
-                assert member.wire_version == BINARY_VERSION
-            daemon.shutdown()
-
-            successor = ThreadedDaemon(host=host, port=port)
-            successor.register(BulkService(), object_id="Bulk")
-            successor.start_background()
-            with pytest.raises(Exception):
-                pool.call("echo", 2)
-            assert pool.call("echo", 3) == 3
-            with pool.acquire() as member:
-                assert member.wire_version == VERSION
-        finally:
-            pool.close()
-            daemon.shutdown()
-            if successor is not None:
-                successor.shutdown()
-
-    def test_bulk_payloads_identical_across_versions(
-        self, reactor_daemon, json_daemon
-    ):
-        _, v2_uri = reactor_daemon
-        _, v1_uri = json_daemon
-        with Proxy(v2_uri) as new, Proxy(v1_uri) as old:
-            a, b = new.table(256), old.table(256)
-            np.testing.assert_array_equal(a["potential_v"], b["potential_v"])
-            np.testing.assert_array_equal(a["current_a"], b["current_a"])
-            assert a["raw"] == b["raw"] == b"header"
+            sim_daemon.shutdown()
+        np.testing.assert_array_equal(a["potential_v"], b["potential_v"])
+        np.testing.assert_array_equal(a["current_a"], b["current_a"])
+        assert a["raw"] == b["raw"] == b"header"
 
     def test_pipelined_bulk_reads_over_binary(self, reactor_daemon):
         _, uri = reactor_daemon
@@ -290,38 +222,70 @@ class TestVersionNegotiation:
             with proxy.pipeline() as pipe:
                 pending = [pipe.call("chunk", 4096) for _ in range(16)]
                 chunks = [p.result() for p in pending]
-            # checked before close(): closing forgets the negotiation so
-            # the next dial re-HELLOs (the peer may have been replaced)
-            assert proxy.wire_version == BINARY_VERSION
         assert all(c == b"\xa5" * 4096 for c in chunks)
 
 
-class TestCorruptFramesOverTheWire:
-    def test_daemon_replies_frame_corrupt_then_closes(self, reactor_daemon):
-        from repro.rpc.transport import connect_tcp
-        from repro.rpc.protocol import recv_message
+def _frame(version: int, msg_type: int, payload: bytes) -> bytes:
+    return HEADER.pack(MAGIC, version, msg_type, 0, 1, len(payload)) + payload
 
-        _, uri = reactor_daemon
-        daemon, _ = reactor_daemon
-        host, port = daemon.address
-        conn = connect_tcp(host, port, timeout=5.0)
-        try:
-            # header declares an absurd payload length: unrecoverable
-            conn.sendall(
-                HEADER.pack(
-                    MAGIC,
-                    BINARY_VERSION,
-                    int(MessageType.REQUEST),
-                    0,
-                    1,
-                    MAX_PAYLOAD + 1,
-                )
-            )
-            reply = recv_message(conn)
-            assert reply.msg_type == MessageType.ERROR
-            assert reply.body.get("code") == "RPC_FRAME_CORRUPT"
-        finally:
-            conn.close()
+
+_REQUEST = int(MessageType.REQUEST)
+# (frame, expected ERROR code, expected message fragment)
+_BAD_FRAMES = [
+    # header declares an absurd payload length: unrecoverable
+    (
+        HEADER.pack(MAGIC, VERSION, _REQUEST, 0, 1, MAX_PAYLOAD + 1),
+        "RPC_FRAME_CORRUPT",
+        "exceeds MAX_PAYLOAD",
+    ),
+    # a retired JSON-only (wire v1) request
+    (
+        _frame(1, _REQUEST, serialize(request_body("Bulk", "echo", (1,), {}))),
+        "RPC_PROTOCOL",
+        "unsupported protocol version 1",
+    ),
+    # the retired HELLO handshake: type 9 is reserved
+    (
+        _frame(VERSION, 9, b"".join(serialize_binary({"max_version": 2}))),
+        "RPC_PROTOCOL",
+        "unknown message type 9",
+    ),
+]
+
+
+def _error_then_drop(daemon, factory, frame: bytes) -> dict:
+    """Send one bad frame; the daemon must answer ERROR, then hang up."""
+    conn = (factory or connect_tcp)(*daemon.address)
+    conn.settimeout(5.0)
+    try:
+        conn.sendall(frame)
+        reply = recv_message(conn)
+        assert reply.msg_type == MessageType.ERROR
+        with pytest.raises(ConnectionClosedError):
+            conn.recv_exactly(1)
+        return reply.body
+    finally:
+        conn.close()
+
+
+class TestCorruptFramesOverTheWire:
+    def test_daemon_replies_frame_corrupt_then_closes(self):
+        # every bad frame, over the reactor (tcp) and the blocking (sim)
+        # serving path alike
+        for serve, mode in ((_serve_tcp, "reactor"), (_serve_sim, "threaded")):
+            daemon, uri, factory = serve()
+            try:
+                assert daemon.serving_mode == mode
+                for frame, code, fragment in _BAD_FRAMES:
+                    body = _error_then_drop(daemon, factory, frame)
+                    assert body.get("code") == code, (mode, body)
+                    assert fragment in body.get("message", ""), (mode, body)
+                assert daemon.call_count == 0
+                # only the offending connections were dropped
+                with Proxy(uri, connection_factory=factory) as proxy:
+                    assert proxy.echo(2) == 2
+            finally:
+                daemon.shutdown()
 
     def test_client_surfaces_frame_corrupt_code(self):
         from repro.errors import code_table

@@ -1,6 +1,7 @@
 """Daemon + proxy integration over real TCP sockets."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.errors import (
     NamingError,
     RemoteInvocationError,
 )
+from repro.net.delay import delayed_loopback
 from repro.rpc import Daemon, Proxy, expose, oneway
 
 
@@ -280,3 +282,19 @@ class TestLifecycle:
             uri = daemon.register(Service(), object_id="Ctx")
             with Proxy(uri) as proxy:
                 assert proxy.echo(1) == 1
+
+    def test_blocking_accept_wakes_on_shutdown(self):
+        # a delayed-loopback listener has no selectable descriptor, so
+        # the daemon serves it from a thread blocked in accept();
+        # shutdown must wake that thread, not wait out the join deadline
+        listener, factory = delayed_loopback(0.0)
+        daemon = Daemon(listener=listener)
+        uri = daemon.register(Service(), object_id="Svc")
+        daemon.start_background()
+        assert daemon.serving_mode == "threaded"
+        with Proxy(uri, connection_factory=factory) as proxy:
+            assert proxy.echo(1) == 1
+        start = time.monotonic()
+        daemon.shutdown()
+        assert time.monotonic() - start < 1.0
+        assert daemon.quiescent is True

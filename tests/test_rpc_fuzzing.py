@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.rpc import Daemon, Proxy, expose
-from repro.rpc.protocol import HEADER, MAGIC
+from repro.rpc import Daemon, Proxy, expose, serialize_binary
+from repro.rpc.protocol import HEADER, MAGIC, VERSION
 
 
 @expose
@@ -58,39 +58,42 @@ class TestGarbageFrames:
 
     def test_wrong_magic(self, served):
         _service, daemon, uri = served
-        frame = HEADER.pack(b"EVIL", 1, 1, 0, 1, 4) + b"null"
+        frame = HEADER.pack(b"EVIL", VERSION, 1, 0, 1, 4) + b"null"
         raw_send(daemon, frame)
         with Proxy(uri) as proxy:
             assert proxy.bump() >= 1
 
     def test_huge_declared_payload(self, served):
         _service, daemon, uri = served
-        frame = HEADER.pack(MAGIC, 1, 1, 0, 1, 2**31 - 1)
+        frame = HEADER.pack(MAGIC, VERSION, 1, 0, 1, 2**31 - 1)
         raw_send(daemon, frame)
         with Proxy(uri) as proxy:
             assert proxy.bump() >= 1
 
     def test_truncated_frame_then_disconnect(self, served):
         _service, daemon, uri = served
-        frame = HEADER.pack(MAGIC, 1, 1, 0, 1, 100) + b"short"
+        frame = HEADER.pack(MAGIC, VERSION, 1, 0, 1, 100) + b"short"
         raw_send(daemon, frame)
         with Proxy(uri) as proxy:
             assert proxy.bump() >= 1
 
     def test_invalid_json_payload(self, served):
         _service, daemon, uri = served
-        body = b"{definitely not json"
-        frame = HEADER.pack(MAGIC, 1, 1, 0, 7, len(body)) + body
+        envelope = b"{definitely not json"
+        body = struct.pack("!I", len(envelope)) + envelope
+        frame = HEADER.pack(MAGIC, VERSION, 1, 0, 7, len(body)) + body
         raw_send(daemon, frame)
         with Proxy(uri) as proxy:
             assert proxy.bump() >= 1
 
     def test_request_for_dunder_never_executes(self, served):
         service, daemon, uri = served
-        body = (
-            b'{"object":"C","method":"__init__","args":[],"kwargs":{}}'
+        body = b"".join(
+            serialize_binary(
+                {"object": "C", "method": "__init__", "args": [], "kwargs": {}}
+            )
         )
-        frame = HEADER.pack(MAGIC, 1, 1, 0, 9, len(body)) + body
+        frame = HEADER.pack(MAGIC, VERSION, 1, 0, 9, len(body)) + body
         raw_send(daemon, frame)
         with Proxy(uri) as proxy:
             first = proxy.bump()

@@ -267,12 +267,9 @@ class TestSatelliteFixes:
         uri = daemon.register(EchoService(), object_id="Echo")
         daemon.start_background()
         try:
-            # binary=False: the HELLO handshake would add connection bytes
-            # that belong to no method, and this test asserts exact
-            # per-method attribution of every byte on the wire
-            proxy = Proxy(
-                uri, connection_factory=factory, metrics=metrics, binary=False
-            )
+            # every byte on the wire belongs to some method's frames: the
+            # connection carries no handshake traffic of its own
+            proxy = Proxy(uri, connection_factory=factory, metrics=metrics)
             barrier = threading.Barrier(4)
 
             def worker(worker_id: int) -> None:
