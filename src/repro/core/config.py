@@ -44,7 +44,8 @@ class TransportConfig:
         timeout: per-call deadline in seconds (both channels).
         max_inflight: control-channel pipelining window — how many
             requests the control proxy may have in flight at once
-            (PROTOCOLS §1.4). 1 = classic lockstep request/reply.
+            (PROTOCOLS §1.4). 1 = a window of one: one request on the
+            wire at a time.
         pipeline_depth: data-channel read-ahead depth — how many
             ``read_chunk`` requests a mount keeps in flight during bulk
             reads. 1 = one WAN round trip per chunk.

@@ -44,7 +44,8 @@ class ACLPyroClient:
             at-most-once; requires ``retry_policy``/``breaker`` so a
             ResilientProxy exists to stamp keys).
         max_inflight: control-channel pipelining window (PROTOCOLS
-            §1.4); 1 keeps the classic lockstep request/reply.
+            §1.4); 1 is a window of one: one request on the wire at a
+            time.
     """
 
     def __init__(

@@ -178,6 +178,8 @@ class JobFeed:
         cursor = max(0, int(cursor))
         max_events = max(1, int(max_events))
         with self._lock:
+            if cursor > self._seq:
+                cursor = 0  # issued by an earlier incarnation (PROTOCOLS §1.5)
             oldest = self._ring[0].seq if self._ring else self._seq + 1
             gap = max(0, oldest - cursor - 1)
             selected: list[JobEvent] = []

@@ -297,6 +297,8 @@ class TelemetryBus:
         if max_events <= 0:
             return [], cursor, 0
         with self._lock:
+            if cursor > self._seq:
+                cursor = 0  # issued by an earlier incarnation (PROTOCOLS §1.5)
             if not self._history:
                 return [], max(cursor, self._seq), 0
             oldest = self._history[0].seq

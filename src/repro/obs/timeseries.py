@@ -469,6 +469,8 @@ class TimeSeriesStore:
             return [], cursor, 0
         name_sel = selectors.get("name") if selectors else None
         with self._lock:
+            if cursor > self._export_seq:
+                cursor = 0  # issued by an earlier incarnation (PROTOCOLS §1.5)
             if not self._export:
                 return [], max(cursor, self._export_seq), 0
             oldest = self._export[0]["seq"]

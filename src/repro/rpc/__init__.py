@@ -13,9 +13,10 @@ reimplements the subset the paper uses, with the same shape:
   thread, bounded per-connection outboxes with backpressure) and on a
   blocking reader thread per connection for listeners without a file
   descriptor (the simulated network, delayed loopback);
-- :class:`Proxy` connects to a URI and forwards attribute calls; built
-  with ``max_inflight > 1`` it pipelines requests (PROTOCOLS §1.4) and
-  offers :meth:`Proxy.pipeline` for explicit bursts;
+- :class:`Proxy` connects to a URI and forwards attribute calls inside
+  an in-flight window of ``max_inflight`` requests (PROTOCOLS §1.4); the
+  default window of one keeps one call on the wire at a time, a larger
+  one pipelines and offers :meth:`Proxy.pipeline` for explicit bursts;
 - :class:`ProxyPool` hands out independent connections to one endpoint;
 - :class:`NameServer` maps logical names to URIs, itself served by a daemon.
 

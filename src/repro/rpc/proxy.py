@@ -6,19 +6,21 @@ attribute calls::
     with Proxy("PYRO:ACL_Workstation@10.2.11.161:9690") as ws:
         ws.call_Initialize_SP200_API(params)
 
-One proxy holds one connection; by default calls on it are serialised by
-a lock (same contract as Pyro4 — share across threads or clone per
-thread). Remote exceptions re-raise locally: known :mod:`repro.errors`
-classes keep their type, anything else becomes
-:class:`RemoteInvocationError` carrying the remote traceback.
+One proxy holds one connection and may be shared across threads. Remote
+exceptions re-raise locally: known :mod:`repro.errors` classes keep
+their type, anything else becomes :class:`RemoteInvocationError`
+carrying the remote traceback.
 
-Pipelining (``docs/PROTOCOLS.md`` §1.4): a proxy built with
-``max_inflight > 1`` allows that many REQUEST frames on the wire at once,
-demultiplexing replies by sequence id through a shared waiter map — N
-calls cost one round trip plus N executions instead of N round trips.
-Threads sharing the proxy overlap automatically; a single thread can
-burst explicitly through :meth:`Proxy.pipeline`. Callers that want truly
-independent connections instead of a multiplexed one use
+Every call takes one exchange path (``docs/PROTOCOLS.md`` §1.4): its
+REQUEST frame goes out inside an in-flight window of ``max_inflight``
+frames, and replies are demultiplexed by sequence id through a shared
+waiter map. ``max_inflight=1`` (the default) is a window of one — one
+call on the wire at a time, the Pyro4 contract. Above 1 the proxy
+pipelines: N calls cost one round trip plus N executions instead of N
+round trips. Threads sharing the proxy overlap automatically; a single
+thread can burst explicitly through :meth:`Proxy.pipeline`, whose calls
+are the same calls with the reply collected later. Callers that want
+truly independent connections instead of a multiplexed one use
 :class:`ProxyPool`.
 """
 
@@ -33,6 +35,7 @@ from typing import Any, Callable
 import repro.errors as _errors_module
 from repro.errors import (
     CommunicationError,
+    ConnectionClosedError,
     ProtocolError,
     RemoteInvocationError,
     ReproError,
@@ -88,19 +91,25 @@ def _clone_transport_error(exc: Exception) -> Exception:
 
 
 class _PendingSlot:
-    """Waiter-map entry for one in-flight frame."""
+    """One frame in the in-flight window: the connection it went out on,
+    then its reply or transport error, plus its wire bytes."""
 
-    __slots__ = ("reply", "error", "bytes_sent", "bytes_received")
+    __slots__ = ("conn", "reply", "error", "bytes_sent", "bytes_received")
 
     def __init__(self) -> None:
+        self.conn: Connection | None = None
         self.reply: Message | None = None
         self.error: Exception | None = None
-        self.bytes_sent: int | None = None
-        self.bytes_received: int | None = None
+        self.bytes_sent = 0
+        self.bytes_received = 0
 
     @property
     def resolved(self) -> bool:
         return self.reply is not None or self.error is not None
+
+
+# what a ONEWAY frame resolves to once sent: no reply ever comes back
+_NO_REPLY = Message(MessageType.RESPONSE, 0, None)
 
 
 class _RemoteMethod:
@@ -135,11 +144,12 @@ class Proxy:
         metrics: optional :class:`repro.obs.MetricsRegistry` receiving
             per-call counters, latency histograms, byte counts and the
             ``rpc.client.inflight`` gauge.
-        max_inflight: in-flight REQUEST window. 1 (default) keeps the
-            classic one-call-at-a-time semantics; above 1 the proxy
-            pipelines — concurrent threads overlap their round trips on
-            the one connection, and :meth:`pipeline` becomes available
-            for single-threaded bursts.
+        max_inflight: in-flight REQUEST window. 1 (default) is a window
+            of one: one call on the wire at a time, and threads sharing
+            the proxy queue for it. Above 1 the proxy pipelines —
+            concurrent threads overlap their round trips on the one
+            connection, and :meth:`pipeline` becomes available for
+            single-threaded bursts.
     """
 
     def __init__(
@@ -176,7 +186,7 @@ class Proxy:
         # the tenant bound on the calling context (if any), so daemon-
         # side metrics stay attributed across the wire
         self.tenant: str | None = tenant
-        # pipelining state: a waiter map keyed by sequence id plus a
+        # exchange state: a waiter map keyed by sequence id plus a
         # "become the reader" condition — at most one thread blocks in
         # recv at a time, depositing replies for everyone else
         self._max_inflight = int(max_inflight)
@@ -246,12 +256,35 @@ class Proxy:
         return self.tenant if self.tenant is not None else current_tenant()
 
     def close(self) -> None:
-        """Drop the connection; the proxy reconnects lazily if reused."""
+        """Drop the connection; the proxy reconnects lazily if reused.
+
+        Does not wait for calls in flight: they fail with
+        :class:`ConnectionClosedError`.
+        """
         with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
             self._metadata = None
+            if self._conn is not None:
+                self._drop(self._conn, ConnectionClosedError("proxy closed"))
+
+    def _drop(self, conn: Connection, exc: Exception) -> None:
+        """Retire ``conn``, whose stream state is undefined after ``exc``.
+
+        Detaches it (the next call redials), closes it, and fails every
+        call still waiting on it with its own copy of ``exc``. Calls
+        already on a newer connection are untouched. All under the
+        connection lock, so no thread dials a new connection while the
+        window still counts frames of the dead one.
+        """
+        with self._lock:
+            if self._conn is conn:
+                self._conn = None
+                self._metadata = None
+            conn.close()
+            with self._demux:
+                for seq in [s for s, slot in self._pending.items() if slot.conn is conn]:
+                    self._pending.pop(seq).error = _clone_transport_error(exc)
+                    self._release_frame()
+                self._demux.notify_all()
 
     def __enter__(self) -> "Proxy":
         return self
@@ -259,48 +292,126 @@ class Proxy:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- calls -----------------------------------------------------------------
+    # -- the exchange ----------------------------------------------------------
     def _next_seq(self) -> int:
         self._seq = (self._seq + 1) & 0xFFFFFFFF
         return self._seq
 
-    def _roundtrip(
-        self, msg: Message, byte_window: list[tuple[int, int]] | None = None
-    ) -> Message:
-        """Send one frame and read its correlated reply (serial mode).
+    def _inflight_gauge(self):
+        return self.metrics.gauge(
+            "rpc.client.inflight", "REQUEST frames awaiting their reply"
+        )
 
-        ``byte_window``, when given, receives one ``(sent, received)``
-        delta captured here — inside the locked exchange — so concurrent
-        callers can never misattribute each other's bytes.
+    def _claim_window(self, conn: Connection, seq: int, slot: _PendingSlot) -> bool:
+        """Pump predicate (demux lock held): put ``slot`` in flight as
+        ``seq`` once the window has room. Gives up without claiming if
+        ``conn`` was retired meanwhile, so no frame goes out on it."""
+        if self._conn is not conn:
+            return True
+        if self._inflight_frames >= self._max_inflight:
+            return False
+        self._inflight_frames += 1
+        if self.metrics is not None:
+            self._inflight_gauge().inc()
+        slot.conn = conn
+        self._pending[seq] = slot
+        return True
+
+    def _release_frame(self) -> None:
+        """Free one window slot (demux lock held)."""
+        self._inflight_frames -= 1
+        if self.metrics is not None:
+            self._inflight_gauge().dec()
+
+    def _pump(self, conn: Connection | None, done: Callable[[], bool]) -> None:
+        """Drive the shared reader of ``conn`` until ``done()`` holds.
+
+        ``done`` is evaluated with the demux lock held, so it may claim
+        state atomically (the window claim does). No background thread:
+        at most one waiting thread sits in ``recv`` at a time, depositing
+        each reply into the waiter map by sequence id and waking everyone.
         """
-        conn = self._ensure_connected()
-        track = byte_window is not None and hasattr(conn, "bytes_sent")
-        sent0 = conn.bytes_sent if track else 0
-        recv0 = getattr(conn, "bytes_received", 0) if track else 0
+        cond = self._demux
+        with cond:
+            while not done():
+                if self._reader_busy:
+                    cond.wait()
+                    continue
+                self._reader_busy = True
+                cond.release()
+                try:
+                    self._read_one(conn)
+                finally:
+                    cond.acquire()
+                    self._reader_busy = False
+                    cond.notify_all()
+
+    def _read_one(self, conn: Connection) -> None:
+        """Read one reply and hand it to its waiter. Any transport or
+        framing error (short read, bad header, unknown ``seq``) retires
+        ``conn`` — while this thread still holds the reader role, so
+        nobody else reads the dying stream."""
         try:
-            send_message(conn, msg)
-            if msg.oneway:
-                if track:
-                    byte_window.append((conn.bytes_sent - sent0, 0))
-                return msg
-            reply = recv_message(conn)
-        except (CommunicationError, ProtocolError):
-            # connection state is undefined after a failed exchange
-            self.close()
-            raise
-        except _errors_module.ConnectionClosedError:
-            self.close()
-            raise
-        if reply.seq != msg.seq:
-            self.close()
+            recv0 = getattr(conn, "bytes_received", 0)
+            msg = recv_message(conn)
+            with self._demux:
+                slot = self._pending.pop(msg.seq, None)
+                if slot is not None:
+                    slot.bytes_received = getattr(conn, "bytes_received", 0) - recv0
+                    slot.reply = msg
+                    self._release_frame()
+                    return
             raise ProtocolError(
-                f"reply sequence {reply.seq} does not match request {msg.seq}"
+                f"reply sequence {msg.seq} matches no in-flight request"
             )
-        if track:
-            byte_window.append(
-                (conn.bytes_sent - sent0, conn.bytes_received - recv0)
-            )
-        return reply
+        except Exception as exc:  # noqa: BLE001 - fails the stream
+            self._drop(conn, exc)
+
+    def _submit(
+        self, msg_type: MessageType, body: Any, flags: int = 0
+    ) -> _PendingSlot:
+        """Send one frame inside the in-flight window.
+
+        Returns its waiter-map slot, which resolves when the reply lands
+        (a ONEWAY frame's resolves once sent: it never takes a slot).
+        """
+        oneway = bool(flags & FLAG_ONEWAY)
+        slot = _PendingSlot()
+        while True:
+            with self._lock:
+                conn = self._ensure_connected()
+                seq = self._next_seq()
+            # encode before claiming a window slot: a serialisation error
+            # must surface to this caller alone, not fail the stream
+            payload = encode_message(Message(msg_type, seq, body, flags=flags))
+            if oneway:
+                break
+            # claiming may have to drain replies first — that is the
+            # backpressure that bounds the window without a second thread
+            self._pump(conn, lambda: self._claim_window(conn, seq, slot))  # noqa: B023
+            if slot.conn is conn:
+                break
+            # conn died while this frame queued for the window; the frame
+            # was never sent, so it goes out on a fresh connection instead
+        try:
+            with self._send_lock:
+                sent0 = getattr(conn, "bytes_sent", 0)
+                conn.sendall(payload)
+                slot.bytes_sent = getattr(conn, "bytes_sent", 0) - sent0
+        except Exception as exc:  # noqa: BLE001 - a half-sent frame kills
+            # the stream: every call in flight on it fails
+            self._drop(conn, exc)
+            raise
+        if oneway:
+            slot.reply = _NO_REPLY
+        return slot
+
+    def _await(self, slot: _PendingSlot) -> Message:
+        """Block until ``slot`` resolves; its reply, or its transport error."""
+        self._pump(slot.conn, lambda: slot.resolved)
+        if slot.error is not None:
+            raise slot.error
+        return slot.reply
 
     @staticmethod
     def _process_reply(reply: Message) -> Any:
@@ -313,6 +424,59 @@ class Proxy:
             return reply.body["result"]
         return reply.body
 
+    # -- calls -----------------------------------------------------------------
+    def _start_call(
+        self,
+        method: str,
+        args: tuple,
+        kwargs: dict,
+        oneway: bool = False,
+        idempotency_key: str | None = None,
+        pipelined: bool = False,
+    ) -> "PendingReply":
+        """Issue one REQUEST: open its ``rpc.call.<method>`` span, build
+        its body and send it; the returned handle collects the reply.
+
+        A plain call's span is made current, since it lasts exactly as
+        long as the call; a pipelined one's is not, so every call of a
+        burst parents under the span current at issue time.
+        """
+        tracer = self.tracer
+        tenant = self._effective_tenant()
+        span = None
+        if tracer is not None:
+            attributes = {"rpc.method": method, "rpc.object": self._uri.object_id}
+            if pipelined:
+                attributes["rpc.pipelined"] = True
+                span = tracer.start_span(f"rpc.call.{method}", attributes=attributes)
+            else:
+                span = tracer.start_as_current_span(
+                    f"rpc.call.{method}", attributes=attributes
+                )
+            if tenant is not None:
+                # stamp the tenant on the span so the trace index and tail
+                # sampler can attribute the whole trace to its owner
+                span.set_attribute("tenant", tenant)
+        pending = PendingReply(self, method, span)
+        try:
+            body = request_body(
+                self._uri.object_id,
+                method,
+                args,
+                kwargs,
+                idempotency_key=idempotency_key,
+                trace_context=span.context.to_wire() if span is not None else None,
+                lease=self.lease,
+                tenant=tenant,
+            )
+            pending._slot = self._submit(
+                MessageType.REQUEST, body, FLAG_ONEWAY if oneway else 0
+            )
+        except Exception as exc:
+            pending._finish(exc)
+            raise
+        return pending
+
     def _call(
         self,
         method: str,
@@ -321,262 +485,7 @@ class Proxy:
         oneway: bool = False,
         idempotency_key: str | None = None,
     ) -> Any:
-        if self.tracer is None and self.metrics is None:
-            return self._call_inner(method, args, kwargs, oneway, idempotency_key)
-        return self._call_observed(method, args, kwargs, oneway, idempotency_key)
-
-    def _call_inner(
-        self,
-        method: str,
-        args: tuple,
-        kwargs: dict,
-        oneway: bool,
-        idempotency_key: str | None,
-        trace_context: dict[str, str] | None = None,
-        byte_window: list[tuple[int, int]] | None = None,
-    ) -> Any:
-        body = request_body(
-            self._uri.object_id,
-            method,
-            args,
-            kwargs,
-            idempotency_key=idempotency_key,
-            trace_context=trace_context,
-            lease=self.lease,
-            tenant=self._effective_tenant(),
-        )
-        flags = FLAG_ONEWAY if oneway else 0
-        if self._max_inflight > 1:
-            reply = self._exchange_pipelined(
-                MessageType.REQUEST, body, flags, byte_window
-            )
-            if oneway:
-                return None
-            return self._process_reply(reply)
-        with self._lock:
-            msg = Message(MessageType.REQUEST, self._next_seq(), body, flags=flags)
-            reply = self._roundtrip(msg, byte_window)
-            if oneway:
-                return None
-        return self._process_reply(reply)
-
-    def _call_observed(
-        self,
-        method: str,
-        args: tuple,
-        kwargs: dict,
-        oneway: bool,
-        idempotency_key: str | None,
-    ) -> Any:
-        """Traced/metered variant of :meth:`_call_inner` (observability on)."""
-        tracer, metrics = self.tracer, self.metrics
-        span = (
-            tracer.start_as_current_span(
-                f"rpc.call.{method}",
-                attributes={"rpc.method": method, "rpc.object": self._uri.object_id},
-            )
-            if tracer is not None
-            else None
-        )
-        exemplar = span.trace_id if span is not None else None
-        if span is not None:
-            # stamp the tenant on the span so the trace index and tail
-            # sampler can attribute the whole trace to its owner
-            span_tenant = self._effective_tenant()
-            if span_tenant is not None:
-                span.set_attribute("tenant", span_tenant)
-        trace_context = span.context.to_wire() if span is not None else None
-        clock = tracer.clock if tracer is not None else None
-        start = clock.now() if clock is not None else None
-        byte_window: list[tuple[int, int]] | None = (
-            [] if metrics is not None else None
-        )
-        status = "ok"
-        # the pipelined path maintains the inflight gauge at the frame
-        # level (deposits decrement it); serial mode tracks it here
-        serial_gauge = metrics is not None and self._max_inflight == 1
-        if serial_gauge:
-            self._inflight_gauge().inc()
-        try:
-            return self._call_inner(
-                method,
-                args,
-                kwargs,
-                oneway,
-                idempotency_key,
-                trace_context,
-                byte_window,
-            )
-        except Exception as exc:
-            status = "error"
-            if span is not None:
-                span.record_exception(exc)
-                span.end("ERROR")
-                span = None
-            raise
-        finally:
-            if serial_gauge:
-                self._inflight_gauge().dec()
-            if metrics is not None:
-                metrics.counter(
-                    "rpc.client.calls_total", "RPC calls issued by this client"
-                ).inc(method=method, status=status)
-                if start is not None:
-                    metrics.histogram(
-                        "rpc.client.call_latency_s", "client-observed RPC latency"
-                    ).observe(clock.now() - start, exemplar=exemplar, method=method)
-                if byte_window:
-                    sent, received = byte_window[0]
-                    if sent > 0:
-                        metrics.counter(
-                            "rpc.client.bytes_sent_total", "request bytes on the wire"
-                        ).inc(sent, method=method)
-                    if received > 0:
-                        metrics.counter(
-                            "rpc.client.bytes_received_total",
-                            "response bytes on the wire",
-                        ).inc(received, method=method)
-            if span is not None:
-                span.end()
-
-    def _inflight_gauge(self):
-        return self.metrics.gauge(
-            "rpc.client.inflight", "REQUEST frames awaiting their reply"
-        )
-
-    # -- pipelined exchange --------------------------------------------------
-    def _claim_window(self) -> bool:
-        """Try to take one in-flight window slot (demux lock held)."""
-        if self._inflight_frames < self._max_inflight:
-            self._inflight_frames += 1
-            if self.metrics is not None:
-                self._inflight_gauge().inc()
-            return True
-        return False
-
-    def _fail_pending_locked(self, exc: Exception) -> None:
-        """Fail every waiter (demux lock held) — the stream is undefined."""
-        for slot in self._pending.values():
-            if not slot.resolved:
-                slot.error = _clone_transport_error(exc)
-        self._pending.clear()
-        if self.metrics is not None and self._inflight_frames:
-            self._inflight_gauge().dec(self._inflight_frames)
-        self._inflight_frames = 0
-
-    def _pump(self, conn: Connection, done: Callable[[], bool]) -> None:
-        """Drive the shared reader until ``done()`` holds.
-
-        ``done`` is evaluated with the demux lock held, so it may claim
-        state atomically (the window claim does). At most one thread sits
-        in ``recv`` at a time; it deposits each reply into the waiter map
-        by sequence id and wakes everyone. Any transport or framing error
-        fails every in-flight call and drops the connection — the same
-        "state undefined after a failed exchange" rule as serial mode.
-        """
-        cond = self._demux
-        cond.acquire()
-        try:
-            while not done():
-                if self._reader_busy:
-                    cond.wait()
-                    continue
-                self._reader_busy = True
-                cond.release()
-                failure: Exception | None = None
-                msg: Message | None = None
-                received: int | None = None
-                try:
-                    try:
-                        track = hasattr(conn, "bytes_received")
-                        recv0 = conn.bytes_received if track else 0
-                        msg = recv_message(conn)
-                        if track:
-                            received = conn.bytes_received - recv0
-                    except Exception as exc:  # noqa: BLE001 - fails the stream
-                        failure = exc
-                finally:
-                    cond.acquire()
-                    self._reader_busy = False
-                if failure is None:
-                    slot = self._pending.pop(msg.seq, None)
-                    if slot is not None:
-                        slot.reply = msg
-                        slot.bytes_received = received
-                        self._inflight_frames = max(0, self._inflight_frames - 1)
-                        if self.metrics is not None:
-                            self._inflight_gauge().dec()
-                        cond.notify_all()
-                        continue
-                    failure = ProtocolError(
-                        f"reply sequence {msg.seq} matches no in-flight request"
-                    )
-                self._fail_pending_locked(failure)
-                cond.notify_all()
-                cond.release()
-                try:
-                    self.close()
-                finally:
-                    cond.acquire()
-        finally:
-            cond.release()
-
-    def _pipeline_submit(
-        self, msg_type: MessageType, body: Any, flags: int = 0
-    ) -> tuple[Connection, int, _PendingSlot | None]:
-        """Claim a window slot, register the waiter, and send one frame."""
-        oneway = bool(flags & FLAG_ONEWAY)
-        with self._lock:
-            conn = self._ensure_connected()
-            seq = self._next_seq()
-        # encode before claiming a window slot: a serialisation error must
-        # surface to this caller alone, not fail the whole pipeline
-        payload = encode_message(Message(msg_type, seq, body, flags=flags))
-        slot: _PendingSlot | None = None
-        if not oneway:
-            # claiming may have to drain replies first — that is the
-            # backpressure that bounds the window without a second thread
-            self._pump(conn, self._claim_window)
-            slot = _PendingSlot()
-            with self._demux:
-                self._pending[seq] = slot
-        try:
-            with self._send_lock:
-                track = hasattr(conn, "bytes_sent")
-                sent0 = conn.bytes_sent if track else 0
-                conn.sendall(payload)
-                if slot is not None and track:
-                    slot.bytes_sent = conn.bytes_sent - sent0
-        except Exception as exc:  # noqa: BLE001 - a half-sent frame kills
-            # the stream: every in-flight call fails, same rule as serial
-            with self._demux:
-                self._fail_pending_locked(exc)
-                self._demux.notify_all()
-            self.close()
-            raise
-        return conn, seq, slot
-
-    def _pipeline_await(self, conn: Connection, slot: _PendingSlot) -> Message:
-        self._pump(conn, lambda: slot.resolved)
-        if slot.error is not None:
-            raise slot.error
-        return slot.reply
-
-    def _exchange_pipelined(
-        self,
-        msg_type: MessageType,
-        body: Any,
-        flags: int = 0,
-        byte_window: list[tuple[int, int]] | None = None,
-    ) -> Message | None:
-        """One frame through the demux machinery; None for oneway sends."""
-        conn, _seq, slot = self._pipeline_submit(msg_type, body, flags)
-        if slot is None:
-            return None
-        reply = self._pipeline_await(conn, slot)
-        if byte_window is not None and slot.bytes_sent is not None:
-            byte_window.append((slot.bytes_sent, slot.bytes_received or 0))
-        return reply
+        return self._start_call(method, args, kwargs, oneway, idempotency_key).result()
 
     def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
         """Invoke a remote method by name: ``proxy.call("Start", ch=1)``.
@@ -608,13 +517,7 @@ class Proxy:
         Named with the underscore prefix (Pyro4's ``_pyroBind`` convention)
         so it can never shadow a remote method called ``ping``.
         """
-        if self._max_inflight > 1:
-            reply = self._exchange_pipelined(MessageType.PING, None)
-        else:
-            with self._lock:
-                reply = self._roundtrip(
-                    Message(MessageType.PING, self._next_seq(), None)
-                )
+        reply = self._await(self._submit(MessageType.PING, None))
         if reply.msg_type != MessageType.PONG:
             raise ProtocolError(f"expected PONG, got {reply.msg_type}")
 
@@ -624,32 +527,15 @@ class Proxy:
         Returns a copy: mutating the result must not poison the cache
         for later callers.
         """
-        if self._max_inflight > 1:
-            with self._lock:
-                cached = self._metadata
-            if cached is None:
-                reply = self._exchange_pipelined(
-                    MessageType.METADATA, {"object": self._uri.object_id}
-                )
-                if reply.msg_type == MessageType.ERROR:
-                    raise _rebuild_remote_error(reply.body)
-                cached = reply.body
-                with self._lock:
-                    self._metadata = cached
-            return copy.deepcopy(cached)
-        with self._lock:
-            if self._metadata is None:
-                reply = self._roundtrip(
-                    Message(
-                        MessageType.METADATA,
-                        self._next_seq(),
-                        {"object": self._uri.object_id},
-                    )
-                )
-                if reply.msg_type == MessageType.ERROR:
-                    raise _rebuild_remote_error(reply.body)
-                self._metadata = reply.body
-            return copy.deepcopy(self._metadata)
+        cached = self._metadata
+        if cached is None:
+            reply = self._await(
+                self._submit(MessageType.METADATA, {"object": self._uri.object_id})
+            )
+            if reply.msg_type == MessageType.ERROR:
+                raise _rebuild_remote_error(reply.body)
+            cached = self._metadata = reply.body
+        return copy.deepcopy(cached)
 
     def __getattr__(self, name: str) -> _RemoteMethod:
         if name.startswith("_"):
@@ -658,17 +544,22 @@ class Proxy:
 
 
 class PendingReply:
-    """Handle to one in-flight pipelined call.
+    """Handle to one issued call.
 
-    :meth:`result` blocks until the correlated reply arrives (driving the
-    shared reader if nobody else is) and returns the remote value or
-    raises the remote/transport error. Resolution is cached: ``result``
-    can be called repeatedly.
+    Every call is one of these: a plain call collects its handle at
+    once, a :class:`Pipeline` call hands it to the caller. :meth:`result`
+    blocks until the correlated reply arrives (driving the shared reader
+    if nobody else is) and returns the remote value or raises the
+    remote/transport error. Resolution is cached: ``result`` can be
+    called repeatedly.
+
+    Resolving is also where a client call is metered, once: the calls
+    counter, the latency histogram with its trace-id exemplar and the
+    per-method byte counters are written, then the span ends.
     """
 
     __slots__ = (
         "_proxy",
-        "_conn",
         "_slot",
         "_method",
         "_span",
@@ -679,24 +570,15 @@ class PendingReply:
         "_error",
     )
 
-    def __init__(
-        self,
-        proxy: Proxy,
-        conn: Connection,
-        slot: _PendingSlot,
-        method: str,
-        span: Any = None,
-        start: float | None = None,
-    ):
+    def __init__(self, proxy: Proxy, method: str, span: Any = None):
         self._proxy = proxy
-        self._conn = conn
-        self._slot = slot
+        self._slot: _PendingSlot | None = None
         self._method = method
         self._span = span
         # the span is released on end; keep its trace id for the
-        # latency exemplar recorded after that
+        # latency exemplar
         self._trace_id = span.trace_id if span is not None else None
-        self._start = start
+        self._start = proxy.tracer.clock.now() if proxy.tracer is not None else None
         self._resolved = False
         self._value: Any = None
         self._error: Exception | None = None
@@ -710,51 +592,50 @@ class PendingReply:
         """The remote return value; raises what the call raised."""
         if not self._resolved:
             proxy = self._proxy
-            status = "ok"
             try:
-                reply = proxy._pipeline_await(self._conn, self._slot)
-                self._value = proxy._process_reply(reply)
+                self._value = proxy._process_reply(proxy._await(self._slot))
             except Exception as exc:
-                self._error = exc
-                status = "error"
-                if self._span is not None:
-                    self._span.record_exception(exc)
-            finally:
-                self._resolved = True
-                if self._span is not None:
-                    self._span.end("ERROR" if status == "error" else None)
-                    self._span = None
-                self._record_metrics(status)
+                self._finish(exc)
+            else:
+                self._finish(None)
         if self._error is not None:
             raise self._error
         return self._value
 
-    def _record_metrics(self, status: str) -> None:
+    def _finish(self, error: Exception | None) -> None:
+        """Resolve the call: record its metrics, then end its span."""
+        self._resolved = True
+        self._error = error
         proxy = self._proxy
         metrics = proxy.metrics
-        if metrics is None:
-            return
-        method = self._method
-        metrics.counter(
-            "rpc.client.calls_total", "RPC calls issued by this client"
-        ).inc(method=method, status=status)
-        if self._start is not None and proxy.tracer is not None:
-            metrics.histogram(
-                "rpc.client.call_latency_s", "client-observed RPC latency"
-            ).observe(
-                proxy.tracer.clock.now() - self._start,
-                exemplar=self._trace_id,
-                method=method,
-            )
-        slot = self._slot
-        if slot.bytes_sent:
+        if metrics is not None:
+            method = self._method
             metrics.counter(
-                "rpc.client.bytes_sent_total", "request bytes on the wire"
-            ).inc(slot.bytes_sent, method=method)
-        if slot.bytes_received:
-            metrics.counter(
-                "rpc.client.bytes_received_total", "response bytes on the wire"
-            ).inc(slot.bytes_received, method=method)
+                "rpc.client.calls_total", "RPC calls issued by this client"
+            ).inc(method=method, status="ok" if error is None else "error")
+            if self._start is not None:
+                metrics.histogram(
+                    "rpc.client.call_latency_s", "client-observed RPC latency"
+                ).observe(
+                    proxy.tracer.clock.now() - self._start,
+                    exemplar=self._trace_id,
+                    method=method,
+                )
+            slot = self._slot
+            if slot is not None and slot.bytes_sent:
+                metrics.counter(
+                    "rpc.client.bytes_sent_total", "request bytes on the wire"
+                ).inc(slot.bytes_sent, method=method)
+            if slot is not None and slot.bytes_received:
+                metrics.counter(
+                    "rpc.client.bytes_received_total", "response bytes on the wire"
+                ).inc(slot.bytes_received, method=method)
+        span = self._span
+        if span is not None:
+            self._span = None
+            if error is not None:
+                span.record_exception(error)
+            span.end("ERROR" if error is not None else None)
 
 
 class Pipeline:
@@ -794,50 +675,12 @@ class Pipeline:
         **kwargs: Any,
     ) -> PendingReply:
         """Send one call; the reply is collected via the returned handle."""
-        proxy = self._proxy
         key = _idempotency_key
         if key is None and self._idempotent:
             key = f"{self._key_prefix}:{next(self._key_seq)}"
-        tracer = proxy.tracer
-        span = None
-        start = None
-        trace_context = None
-        if tracer is not None:
-            span = tracer.start_span(
-                f"rpc.call.{method}",
-                attributes={
-                    "rpc.method": method,
-                    "rpc.object": proxy._uri.object_id,
-                    "rpc.pipelined": True,
-                },
-            )
-            span_tenant = proxy._effective_tenant()
-            if span_tenant is not None:
-                span.set_attribute("tenant", span_tenant)
-            trace_context = span.context.to_wire()
-            start = tracer.clock.now()
-        body = request_body(
-            proxy._uri.object_id,
-            method,
-            args,
-            kwargs,
-            idempotency_key=key,
-            trace_context=trace_context,
-            lease=proxy.lease,
-            tenant=proxy._effective_tenant(),
+        pending = self._proxy._start_call(
+            method, args, kwargs, idempotency_key=key, pipelined=True
         )
-        try:
-            conn, _seq, slot = proxy._pipeline_submit(MessageType.REQUEST, body)
-        except Exception as exc:
-            if span is not None:
-                span.record_exception(exc)
-                span.end("ERROR")
-            if proxy.metrics is not None:
-                proxy.metrics.counter(
-                    "rpc.client.calls_total", "RPC calls issued by this client"
-                ).inc(method=method, status="error")
-            raise
-        pending = PendingReply(proxy, conn, slot, method, span=span, start=start)
         self._issued.append(pending)
         return pending
 
@@ -865,19 +708,13 @@ class Pipeline:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc is not None:
-            # already unwinding: collect best-effort so no reply is left
-            # orphaned in the waiter map, but keep the original error
-            for pending in self._issued:
-                if pending._resolved:
-                    continue
-                try:
-                    pending.result()
-                except Exception:  # noqa: BLE001
-                    pass
-            self._issued.clear()
-            return
-        self.drain()
+        try:
+            self.drain()
+        except Exception:  # noqa: BLE001
+            # already unwinding: every reply was still collected, so none
+            # is left orphaned in the waiter map, but the original error wins
+            if exc is None:
+                raise
 
 
 class ProxyPool:

@@ -16,6 +16,7 @@ daemon and proxy are transport-agnostic.
 from __future__ import annotations
 
 import socket
+import threading
 
 from repro.errors import (
     CallTimeoutError,
@@ -83,41 +84,72 @@ class TCPConnection(Connection):
             self._peer = "%s:%d" % self._sock.getpeername()[:2]
         except OSError:
             self._peer = "?"
+        # close() may come from another thread while one is blocked in
+        # sendall/recv_exactly: it only shuts the socket down, and the
+        # descriptor is released once no call is inside it, so a blocked
+        # call can never land on the same fd number reused by a new socket
+        self._io_lock = threading.Lock()
+        self._io_users = 0
+        self._closed = False
+
+    def _enter_io(self) -> None:
+        with self._io_lock:
+            if self._closed:
+                raise ConnectionClosedError(f"connection to {self._peer} is closed")
+            self._io_users += 1
+
+    def _exit_io(self) -> None:
+        with self._io_lock:
+            self._io_users -= 1
+            if self._closed and self._io_users == 0:
+                self._sock.close()
 
     def sendall(self, data: bytes) -> None:
+        self._enter_io()
         try:
             self._sock.sendall(data)
         except OSError as exc:
             raise ConnectionClosedError(f"send to {self._peer} failed: {exc}") from exc
+        finally:
+            self._exit_io()
 
     def recv_exactly(self, size: int) -> bytes:
         chunks: list[bytes] = []
         remaining = size
-        while remaining > 0:
-            try:
-                chunk = self._sock.recv(min(remaining, 65536))
-            except socket.timeout as exc:
-                raise CallTimeoutError(
-                    f"read from {self._peer} timed out with {remaining} bytes pending"
-                ) from exc
-            except OSError as exc:
-                raise ConnectionClosedError(
-                    f"read from {self._peer} failed: {exc}"
-                ) from exc
-            if not chunk:
-                raise ConnectionClosedError(
-                    f"{self._peer} closed the connection with {remaining} bytes pending"
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
+        self._enter_io()
+        try:
+            while remaining > 0:
+                try:
+                    chunk = self._sock.recv(min(remaining, 65536))
+                except socket.timeout as exc:
+                    raise CallTimeoutError(
+                        f"read from {self._peer} timed out with {remaining} bytes pending"
+                    ) from exc
+                except OSError as exc:
+                    raise ConnectionClosedError(
+                        f"read from {self._peer} failed: {exc}"
+                    ) from exc
+                if not chunk:
+                    raise ConnectionClosedError(
+                        f"{self._peer} closed the connection with {remaining} bytes pending"
+                    )
+                chunks.append(chunk)
+                remaining -= len(chunk)
+        finally:
+            self._exit_io()
         return b"".join(chunks)
 
     def close(self) -> None:
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
+        with self._io_lock:
+            if self._closed:
+                return
+            self._closed = True
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            if self._io_users == 0:
+                self._sock.close()
 
     def settimeout(self, timeout: float | None) -> None:
         self._sock.settimeout(timeout)

@@ -320,6 +320,20 @@ class TestJobPoll:
             assert reply["gap"] == 8
             assert len(reply["events"]) == 4
 
+    def test_feed_cursor_past_latest_seq_restarts_from_oldest(self, tmp_path):
+        """A cursor beyond the feed's latest sequence (issued by an
+        earlier gateway incarnation) reads as 0: the retained events are
+        served and the evicted ones are reported as gap."""
+        gateway, _ = _gateway(tmp_path, tenants=(A,), feed_capacity=4)
+        with gateway:
+            for _ in range(4):
+                gateway.submit("lab-a", "key-a", SPEC)
+            gateway.run_until_idle()  # 12 events through a 4-slot ring
+            events, cursor, gap = gateway.store.feed.read_since(100)
+            assert [e.seq for e in events] == [9, 10, 11, 12]
+            assert cursor == 12
+            assert gap == 8
+
     def test_tenant_filter_advances_past_other_tenants(self, tmp_path):
         gateway, _ = _gateway(tmp_path)
         with gateway:
@@ -345,6 +359,27 @@ class TestDurability:
                 final = reopened.status("lab-a", "key-a", view["job_id"])
                 assert final["state"] == SUCCEEDED
         assert all(resume is False for _, _, resume in log)
+
+    def test_pre_restart_poll_cursor_sees_new_incarnation_events(self, tmp_path):
+        """The job feed restarts at sequence 1 with the gateway, so a
+        poller's cursor from before the restart is ahead of it; the poll
+        must still deliver the new incarnation's events."""
+        gateway, _ = _gateway(tmp_path, tenants=(A,))
+        gateway.submit("lab-a", "key-a", SPEC)
+        gateway.run_until_idle()
+        cursor = gateway.poll("lab-a", "key-a", cursor=0)["cursor"]
+        assert cursor == 3
+        gateway.close()
+
+        reopened, _ = _gateway(tmp_path, tenants=(A,))
+        with reopened:
+            view = reopened.submit("lab-a", "key-a", SPEC)
+            reply = reopened.poll("lab-a", "key-a", cursor=cursor)
+            assert [(e["name"], e["job_id"]) for e in reply["events"]] == [
+                ("job.submitted", view["job_id"])
+            ]
+            assert reply["gap"] == 0
+            assert reply["cursor"] == 1
 
     def test_crash_mid_execution_requeues_with_resume_flag(self, tmp_path):
         metrics = MetricsRegistry()

@@ -71,6 +71,18 @@ class TestTelemetryBus:
         events, cursor, gap = bus.read_since(cursor)
         assert [e.name for e in events] == ["e10"] and gap == 0
 
+    def test_cursor_past_latest_seq_restarts_from_oldest(self):
+        """A cursor from an earlier incarnation of the bus (sequence
+        numbers restart with the daemon) reads as 0: retained events are
+        served, evicted ones are reported as gap, nothing is skipped."""
+        bus = TelemetryBus("acl-daemon", clock=VirtualClock(), history=4)
+        for i in range(6):
+            bus.publish("event", f"e{i}")
+        events, cursor, gap = bus.read_since(50)
+        assert [e.name for e in events] == ["e2", "e3", "e4", "e5"]
+        assert cursor == 6
+        assert gap == 2
+
     def test_attached_tracer_publishes_span_completions(self):
         clock = VirtualClock()
         bus = TelemetryBus("dgx-session", clock=clock)

@@ -191,6 +191,22 @@ class TestScrapeFeed:
         assert gap > 0
         assert len(rows) <= 4
 
+    def test_scrape_cursor_past_latest_seq_restarts_from_oldest(self):
+        """A cursor from an earlier incarnation of the store reads as 0:
+        the retained rows come back and the evicted ones count as gap."""
+        clock = VirtualClock()
+        reg = MetricsRegistry()
+        store = TimeSeriesStore(clock=clock, export_capacity=4)
+        store.attach(reg)
+        counter = reg.counter("c")
+        for _ in range(10):
+            counter.inc()
+            clock.advance(1.0)
+        rows, cursor, gap = store.scrape(10_000)
+        assert rows and rows == store.scrape(0)[0]
+        assert cursor == rows[-1]["seq"]
+        assert gap == rows[0]["seq"] - 1 > 0
+
     def test_scrape_selectors_filter_without_stalling_cursor(self, rig):
         clock, reg, store = rig
         reg.counter("c").inc(tenant="a")

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import (
     CommunicationError,
+    ConnectionClosedError,
     InstrumentStateError,
     MethodNotExposedError,
     NamingError,
@@ -15,6 +16,7 @@ from repro.errors import (
 )
 from repro.net.delay import delayed_loopback
 from repro.rpc import Daemon, Proxy, expose, oneway
+from repro.rpc.transport import TCPListener, connect_tcp
 
 
 @expose
@@ -276,6 +278,25 @@ class TestLifecycle:
         assert not proxy.connected
         assert proxy.echo(2) == 2
         proxy.close()
+
+    def test_tcp_close_keeps_fd_until_blocked_call_leaves(self):
+        """close() from another thread must not free the descriptor under
+        a call still inside the socket: a new socket could reuse the fd
+        number and the stale call would read or write its stream."""
+        listener = TCPListener()
+        try:
+            client = connect_tcp(*listener.address)
+            server = listener.accept()
+            client._enter_io()  # a reader sits inside recv_exactly
+            client.close()
+            assert client._sock.fileno() != -1
+            client._exit_io()
+            assert client._sock.fileno() == -1
+            with pytest.raises(ConnectionClosedError):
+                client.recv_exactly(1)
+            server.close()
+        finally:
+            listener.close()
 
     def test_daemon_context_manager(self):
         with Daemon() as daemon:

@@ -11,16 +11,26 @@ Covers the ISSUE-3 tentpole and its proxy satellites:
   keys, span parenting) and `ProxyPool` (blocking acquire, shared
   breaker, close);
 - the `_pyro_metadata` copy fix and the byte-counter capture fix;
-- the `rpc.client.inflight` gauge.
+- the `rpc.client.inflight` gauge, and metrics/span parity between a
+  plain call and a `Pipeline` call (both take the one exchange path);
+- transport failures at window 1 and above: the concrete error class,
+  reconnection, and `close()` from another thread.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
-from repro.errors import CallTimeoutError, CommunicationError, ReproError
+from repro.errors import (
+    CallTimeoutError,
+    CommunicationError,
+    ConnectionClosedError,
+    ReproError,
+)
 from repro.net.delay import delayed_loopback
 from repro.obs import MetricsRegistry, Tracer
 from repro.rpc import Daemon, PendingReply, Pipeline, Proxy, ProxyPool, expose
@@ -31,6 +41,8 @@ class EchoService:
     def __init__(self):
         self.lock = threading.Lock()
         self.calls = 0
+        self.slow_started = threading.Event()
+        self.slow_done = threading.Event()
 
     def echo(self, value):
         with self.lock:
@@ -45,6 +57,12 @@ class EchoService:
 
     def payload(self, size):
         return b"x" * size
+
+    def slow(self, seconds):
+        self.slow_started.set()
+        time.sleep(seconds)
+        self.slow_done.set()
+        return seconds
 
 
 @pytest.fixture()
@@ -210,6 +228,65 @@ class TestSharedProxyThreads:
         proxy.close()
         assert all(v == "ok" for v in outcomes.values()), outcomes
 
+    @pytest.mark.parametrize("max_inflight", [1, 3])
+    def test_stress_with_concurrent_closes(self, service_daemon, max_inflight):
+        """More threads than cores share one proxy while another thread
+        keeps closing it: every call returns its own reply or fails with
+        a transport error, nothing hangs, and the window's books balance."""
+        uri, _service, _daemon = service_daemon
+        metrics = MetricsRegistry()
+        proxy = Proxy(uri, metrics=metrics, max_inflight=max_inflight)
+        stop = threading.Event()
+        wrong: list[object] = []
+        answered = [0] * 6
+
+        def worker(worker_id: int) -> None:
+            for j in range(60):
+                try:
+                    value = proxy.add(worker_id * 1000, j)
+                except CommunicationError:
+                    continue
+                except ReproError as exc:  # transport errors only
+                    if not isinstance(exc, ConnectionClosedError):
+                        wrong.append(exc)
+                    continue
+                if value == worker_id * 1000 + j:
+                    answered[worker_id] += 1
+                else:
+                    wrong.append((worker_id, j, value))
+
+        def closer() -> None:
+            while not stop.wait(0.003):
+                proxy.close()
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(6)
+        ]
+        closing = threading.Thread(target=closer)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            closing.start()
+            start = time.monotonic()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            closing.join(5.0)
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads + [closing])
+        # no call sat out the 10 s socket timeout on a dead connection
+        assert elapsed < 5.0, f"{elapsed:.1f} s"
+        assert not wrong, wrong[:5]
+        assert sum(answered) > 0
+        assert proxy.echo("after") == "after"
+        assert proxy._inflight_frames == 0 and not proxy._pending
+        assert metrics.gauge("rpc.client.inflight").value() == 0
+        proxy.close()
+
     def test_threads_overlap_round_trips_when_pipelined(self):
         """At 10 ms RTT, 4 threads sharing a pipelined proxy finish in
         far less than 4x the serial time (their RTTs overlap)."""
@@ -308,7 +385,81 @@ class TestSatelliteFixes:
             daemon.shutdown()
 
 
+def _observe_one_call(proxy, shape, method, *args):
+    """Issue one call as ``shape`` ("plain" or "pipelined") with fresh
+    tracer and metrics sinks on ``proxy``; returns ``(tracer, metrics)``."""
+    proxy.tracer, proxy.metrics = Tracer(), MetricsRegistry()
+    try:
+        if shape == "plain":
+            getattr(proxy, method)(*args)
+        else:
+            with proxy.pipeline() as pipe:
+                pipe.call(method, *args).result()
+    except ReproError:
+        pass
+    return proxy.tracer, proxy.metrics
+
+
 class TestObservability:
+    @pytest.mark.parametrize(
+        "method, status", [("echo", "ok"), ("fail", "error")]
+    )
+    def test_plain_and_pipelined_calls_record_the_same_series(
+        self, method, status
+    ):
+        """A plain call and a Pipeline call are metered and traced by the
+        same code: same series, same exemplar link, same span shape."""
+        # the delayed loopback counts wire bytes, so byte counters appear
+        listener, factory = delayed_loopback(0.0)
+        daemon = Daemon(listener=listener)
+        uri = daemon.register(EchoService(), object_id="Echo")
+        daemon.start_background()
+        try:
+            with Proxy(uri, connection_factory=factory, max_inflight=4) as proxy:
+                shapes = {
+                    shape: _observe_one_call(proxy, shape, method, "x")
+                    for shape in ("plain", "pipelined")
+                }
+        finally:
+            daemon.shutdown()
+        spans = {}
+        for shape, (tracer, metrics) in shapes.items():
+            [span] = tracer.find(f"rpc.call.{method}")
+            spans[shape] = span
+            calls = metrics.counter("rpc.client.calls_total")
+            assert calls.labels_seen() == [{"method": method, "status": status}]
+            assert calls.value(method=method, status=status) == 1
+            latency = metrics.histogram("rpc.client.call_latency_s")
+            assert latency.labels_seen() == [{"method": method}]
+            snapshot = latency.snapshot(method=method)
+            assert snapshot["count"] == 1
+            assert [ex["trace_id"] for ex in snapshot["exemplars"].values()] == [
+                span.trace_id
+            ]
+            assert "rpc.client.inflight" in metrics.names()
+            assert metrics.gauge("rpc.client.inflight").value() == 0
+        plain, pipelined = shapes["plain"][1], shapes["pipelined"][1]
+        assert plain.names() == pipelined.names()
+        for name in (
+            "rpc.client.bytes_sent_total",
+            "rpc.client.bytes_received_total",
+        ):
+            assert plain.counter(name).labels_seen() == [{"method": method}]
+            # same frames, same sizes: the byte counts match exactly
+            assert (
+                plain.counter(name).value(method=method)
+                == pipelined.counter(name).value(method=method)
+                > 0
+            )
+        plain_attrs = dict(spans["plain"].attributes)
+        pipelined_attrs = dict(spans["pipelined"].attributes)
+        assert pipelined_attrs.pop("rpc.pipelined") is True
+        assert plain_attrs == pipelined_attrs
+        assert spans["plain"].status == spans["pipelined"].status
+        assert [e["name"] for e in spans["plain"].events] == [
+            e["name"] for e in spans["pipelined"].events
+        ]
+
     def test_inflight_gauge_returns_to_zero(self, service_daemon):
         uri, _service, _daemon = service_daemon
         for max_inflight in (1, 4):
@@ -460,17 +611,57 @@ class TestProxyPool:
 
 
 class TestTransportFailure:
-    def test_inflight_calls_fail_and_proxy_recovers(self, service_daemon):
+    @pytest.mark.parametrize("max_inflight", [1, 4])
+    def test_inflight_calls_fail_and_proxy_recovers(
+        self, service_daemon, max_inflight
+    ):
         """Killing the connection fails pending calls with per-waiter
-        errors; the proxy reconnects on the next call."""
-        uri, _service, _daemon = service_daemon
-        with Proxy(uri, max_inflight=4) as proxy:
+        errors of the transport's own class (the resilient wrapper
+        classifies retries by it); the proxy reconnects on the next call."""
+        uri, service, _daemon = service_daemon
+        with Proxy(uri, max_inflight=max_inflight) as proxy:
             assert proxy.echo("up") == "up"
             # sabotage: close the socket under the proxy
             proxy._conn.close()
-            with pytest.raises(ReproError):
+            with pytest.raises(ConnectionClosedError):
                 proxy.echo("down")
             assert proxy.echo("back") == "back"
+        with Proxy(uri, timeout=0.1, max_inflight=max_inflight) as proxy:
+            with pytest.raises(CallTimeoutError):
+                proxy.slow(0.5)
+            assert service.slow_done.wait(5.0)
+            assert proxy.echo("back") == "back"
+
+    @pytest.mark.parametrize("max_inflight", [1, 4])
+    def test_close_from_another_thread_fails_inflight_call(
+        self, service_daemon, max_inflight
+    ):
+        """close() does not wait behind a call in flight: that call fails
+        at once with ConnectionClosedError, and the next call redials."""
+        uri, service, _daemon = service_daemon
+        proxy = Proxy(uri, max_inflight=max_inflight)
+        outcome: dict[str, object] = {}
+
+        def caller() -> None:
+            try:
+                outcome["value"] = proxy.slow(1.0)
+            except ReproError as exc:
+                outcome["error"] = exc
+            outcome["at"] = time.monotonic()
+
+        thread = threading.Thread(target=caller)
+        thread.start()
+        assert service.slow_started.wait(5.0)
+        closed_at = time.monotonic()
+        proxy.close()
+        thread.join(5.0)
+        assert isinstance(outcome.get("error"), ConnectionClosedError), outcome
+        # failed well before the 1 s remote call could have replied
+        assert outcome["at"] - closed_at < 0.5
+        assert not proxy.connected
+        assert service.slow_done.wait(5.0)
+        assert proxy.echo("back") == "back"
+        proxy.close()
 
     def test_exports(self):
         import repro.rpc as rpc
