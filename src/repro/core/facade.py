@@ -33,10 +33,12 @@ one connected trace from workflow task down to instrument command.
 from __future__ import annotations
 
 import tempfile
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.config import SessionConfig, TransportConfig
+from repro.cursorlog import poll_reply
 from repro.errors import WorkflowError
 from repro.obs import JsonlSpanExporter, MetricsRegistry, Tracer
 from repro.obs.analysis import TraceIndex, TraceSampler
@@ -356,30 +358,33 @@ class Session:
         return epoch
 
     def _acquire_lease_epoch(self, resource: str, holder: str) -> int:
-        if self.ice is not None:
-            proxy = self.ice.lease_client()
-        else:
-            uri = self._remote_lease_uri()
-            if uri is None:
-                raise WorkflowError(
-                    "reattach() needs an in-process ICE or a control URI"
-                )
-            from repro.rpc.proxy import Proxy
+        from repro.durability import LeaseServer
 
-            proxy = Proxy(uri, timeout=10.0)
+        connect = (
+            self.ice.lease_client
+            if self.ice is not None
+            else self._uri_client(LeaseServer.OBJECT_ID)
+        )
+        if connect is None:
+            raise WorkflowError(
+                "reattach() needs an in-process ICE or a control URI"
+            )
+        proxy = connect()
         try:
             return int(proxy.Lease_Acquire(resource, holder))
         finally:
             proxy.close()
 
-    def _remote_lease_uri(self) -> str | None:
-        """Lease URI next to the control object (URI mode only)."""
+    def _uri_client(self, object_id: str) -> Callable[[], Any] | None:
+        """Proxy factory for ``object_id`` next to the control object
+        (URI mode only; None otherwise)."""
         uri = self._control_uri
         if not uri or "@" not in uri:
             return None
-        from repro.durability import LeaseServer
+        from repro.rpc.proxy import Proxy
 
-        return f"PYRO:{LeaseServer.OBJECT_ID}@{uri.split('@', 1)[1]}"
+        address = uri.split("@", 1)[1]
+        return partial(Proxy, f"PYRO:{object_id}@{address}", timeout=10.0)
 
     # -- workflows -----------------------------------------------------------
     def workflow(
@@ -590,39 +595,16 @@ class Session:
         (synthetic ``stream.*`` events, ``obs.stream.dropped_total``)
         instead of hanging it. Close when done (context manager).
         """
-        if self.ice is not None:
-            remote_fn = self.ice.telemetry_client
-        else:
-            uri = self._remote_telemetry_uri()
-            if uri is None:
-                remote_fn = None
-            else:
-
-                def remote_fn():
-                    from repro.rpc.proxy import Proxy
-
-                    return Proxy(uri, timeout=10.0)
-
         return SessionStream(
             self.bus,
-            remote_client_fn=remote_fn,
+            remote_client_fn=(
+                self.ice.telemetry_client
+                if self.ice is not None
+                else self._uri_client(TelemetryServer.OBJECT_ID)
+            ),
             capacity=capacity,
             max_remote_events=max_remote_events,
         )
-
-    def _remote_telemetry_uri(self) -> str | None:
-        """Telemetry URI next to the control object (URI mode only)."""
-        uri = self._control_uri
-        if not uri or "@" not in uri:
-            return None
-        return f"PYRO:{TelemetryServer.OBJECT_ID}@{uri.split('@', 1)[1]}"
-
-    def _remote_obs_uri(self) -> str | None:
-        """Scrape URI next to the control object (URI mode only)."""
-        uri = self._control_uri
-        if not uri or "@" not in uri:
-            return None
-        return f"PYRO:{ObservabilityServer.OBJECT_ID}@{uri.split('@', 1)[1]}"
 
     def slo(self) -> list[dict[str, Any]]:
         """Evaluate every objective now; one status per (objective, tenant).
@@ -646,16 +628,8 @@ class Session:
         verb (PROTOCOLS §1.9), so callers can treat the local half
         exactly like a remote facility.
         """
-        rows, next_cursor, gap = self.timeseries.scrape(
-            cursor, selectors, max_rows
-        )
-        return {
-            "schema": TSDB_SCHEMA,
-            "service": "dgx-session",
-            "cursor": next_cursor,
-            "gap": gap,
-            "rows": rows,
-        }
+        page = self.timeseries.scrape(cursor, selectors, max_rows)
+        return poll_reply(TSDB_SCHEMA, "dgx-session", page, key="rows")
 
     def aggregator(self) -> ObsAggregator:
         """The session's cross-facility scrape aggregator (lazy, cached).
@@ -668,14 +642,13 @@ class Session:
         if self._aggregator is None:
             agg = ObsAggregator()
             agg.add_store("dgx-session", self.timeseries)
-            if self.ice is not None:
-                agg.add_remote("acl-daemon", self.ice.obs_client())
-            else:
-                uri = self._remote_obs_uri()
-                if uri is not None:
-                    from repro.rpc.proxy import Proxy
-
-                    agg.add_remote("acl-daemon", Proxy(uri, timeout=10.0))
+            connect = (
+                self.ice.obs_client
+                if self.ice is not None
+                else self._uri_client(ObservabilityServer.OBJECT_ID)
+            )
+            if connect is not None:
+                agg.add_remote("acl-daemon", connect())
             self._aggregator = agg
         return self._aggregator
 
@@ -730,15 +703,14 @@ class Session:
         written, so failures return an empty list instead of raising.
         """
         try:
-            if self.ice is not None:
-                proxy = self.ice.recorder_client()
-            else:
-                uri = self._remote_recorder_uri()
-                if uri is None:
-                    return []
-                from repro.rpc.proxy import Proxy
-
-                proxy = Proxy(uri, timeout=10.0)
+            connect = (
+                self.ice.recorder_client
+                if self.ice is not None
+                else self._uri_client(FlightRecorderServer.OBJECT_ID)
+            )
+            if connect is None:
+                return []
+            proxy = connect()
             try:
                 snapshot = proxy.Recorder_Dump()
             finally:
@@ -746,13 +718,6 @@ class Session:
         except Exception:  # noqa: BLE001 - dump must survive a dead channel
             return []
         return [snapshot] if isinstance(snapshot, dict) else []
-
-    def _remote_recorder_uri(self) -> str | None:
-        """Recorder URI next to the control object (URI mode only)."""
-        uri = self._control_uri
-        if not uri or "@" not in uri:
-            return None
-        return f"PYRO:{FlightRecorderServer.OBJECT_ID}@{uri.split('@', 1)[1]}"
 
     def dump_flight(
         self, trigger: str, directory: str | Path | None = None

@@ -585,6 +585,14 @@ class ElectrochemistryICE:
             metrics=metrics if metrics is not None else self.metrics,
         )
 
+    def _control_proxy(self, uri: str, timeout: float | None) -> Proxy:
+        return Proxy(
+            uri,
+            timeout=timeout,
+            connection_factory=self._factory(self.control_networks),
+            secret=self.config.control_secret,
+        )
+
     def recorder_client(self, timeout: float | None = 10.0) -> Proxy:
         """Control-channel proxy to the daemon-half flight recorder.
 
@@ -592,12 +600,7 @@ class ElectrochemistryICE:
         failure-path teardowns and must not stall a safe-state sequence
         when the channel is partitioned.
         """
-        return Proxy(
-            self.recorder_uri,
-            timeout=timeout,
-            connection_factory=self._factory(self.control_networks),
-            secret=self.config.control_secret,
-        )
+        return self._control_proxy(self.recorder_uri, timeout)
 
     def telemetry_client(self, timeout: float | None = 10.0) -> Proxy:
         """Control-channel proxy to the daemon-half telemetry bus.
@@ -606,12 +609,7 @@ class ElectrochemistryICE:
         polls run inside a steering loop and must surface a partition as
         a fast failure, never as a hung subscriber.
         """
-        return Proxy(
-            self.telemetry_uri,
-            timeout=timeout,
-            connection_factory=self._factory(self.control_networks),
-            secret=self.config.control_secret,
-        )
+        return self._control_proxy(self.telemetry_uri, timeout)
 
     def obs_client(self, timeout: float | None = 10.0) -> Proxy:
         """Control-channel proxy to the daemon-half time-series store.
@@ -620,12 +618,7 @@ class ElectrochemistryICE:
         polls run inside an aggregator loop and a partitioned facility
         must show up as a gap on the next poll, not a hang.
         """
-        return Proxy(
-            self.obs_uri,
-            timeout=timeout,
-            connection_factory=self._factory(self.control_networks),
-            secret=self.config.control_secret,
-        )
+        return self._control_proxy(self.obs_uri, timeout)
 
     def lease_client(self, timeout: float | None = 10.0) -> Proxy:
         """Control-channel proxy to the lease (fencing-token) service.
@@ -634,12 +627,7 @@ class ElectrochemistryICE:
         acquisition happens during session attach/reattach and must fail
         fast when the control channel is down.
         """
-        return Proxy(
-            self.lease_uri,
-            timeout=timeout,
-            connection_factory=self._factory(self.control_networks),
-            secret=self.config.control_secret,
-        )
+        return self._control_proxy(self.lease_uri, timeout)
 
     # ------------------------------------------------------------------
     # Process-level fault domain (used by ChaosController)

@@ -34,7 +34,6 @@ from repro.gateway.jobs import (
     RUNNING,
     SUCCEEDED,
     Job,
-    JobFeed,
     JobStore,
 )
 from repro.gateway.scheduler import Cell, FairShareScheduler
@@ -48,7 +47,6 @@ __all__ = [
     "JobContext",
     "campaign_runner",
     "Job",
-    "JobFeed",
     "JobStore",
     "FEED_SCHEMA",
     "QUEUED",

@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.clock import Clock, WALL
+from repro.cursorlog import poll_reply
 from repro.errors import (
     GatewayError,
     QuotaExceededError,
@@ -47,6 +48,7 @@ from repro.gateway.jobs import (
     FEED_SCHEMA,
     SUCCEEDED,
     Job,
+    JobEvent,
     JobStore,
 )
 from repro.gateway.scheduler import Cell, FairShareScheduler
@@ -271,17 +273,11 @@ class Gateway:
         max_events: int = 256,
     ) -> dict[str, Any]:
         """Cursor-poll the tenant's job events (PROTOCOLS §1.5 contract)."""
-        tenant = self._auth(tenant_id, api_key)
-        events, next_cursor, gap = self.store.feed.read_since(
-            cursor, max_events=max_events, tenant=tenant.tenant_id
+        tenant_id = self._auth(tenant_id, api_key).tenant_id
+        page = self.store.feed.read_since(
+            cursor, max_events, lambda event: event.tenant == tenant_id
         )
-        return {
-            "schema": FEED_SCHEMA,
-            "service": "gateway",
-            "cursor": next_cursor,
-            "gap": gap,
-            "events": [e.to_wire() for e in events],
-        }
+        return poll_reply(FEED_SCHEMA, "gateway", page, encode=JobEvent.to_wire)
 
     # -- scheduling + execution --------------------------------------------
     def _place(self) -> tuple[Job, Cell] | None:

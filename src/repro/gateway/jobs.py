@@ -10,25 +10,25 @@ are re-queued under their original idempotency-key prefix, so the next
 execution replays already-performed instrument calls from the daemon's
 dedup journal instead of re-executing them.
 
-Alongside the table, a :class:`JobFeed` retention ring records one
-event per transition and serves them through the exact cursor/gap
-contract of ``Telemetry_Poll`` (PROTOCOLS §1.5): clients poll with the
-last sequence number they saw and get back everything newer, plus a
-``gap`` count when their cursor has fallen off the ring.
+Alongside the table, :attr:`JobStore.feed` (a
+:class:`~repro.cursorlog.CursorLog`) records one :class:`JobEvent` per
+transition and serves them through the cursor-poll contract of
+PROTOCOLS §1.5 — the same log behind ``Telemetry_Poll`` and
+``Obs_Scrape``.
 """
 
 from __future__ import annotations
 
 import threading
 import uuid
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.clock import Clock, WALL
+from repro.cursorlog import CursorLog
 from repro.durability.journal import Journal
-from repro.errors import GatewayError, JobStateError, UnknownJobError
+from repro.errors import JobStateError, UnknownJobError
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -131,70 +131,6 @@ class JobEvent:
         }
 
 
-class JobFeed:
-    """Bounded retention ring of :class:`JobEvent`, cursor-polled.
-
-    Same arithmetic as ``TelemetryBus.read_since``: ``gap`` counts the
-    events that fell off retention between the caller's cursor and the
-    oldest event still held — a slow poller learns exactly how much it
-    missed instead of silently losing history.
-    """
-
-    def __init__(self, capacity: int = 1024, clock: Clock | None = None):
-        if capacity < 1:
-            raise GatewayError(f"feed capacity must be >= 1, got {capacity}")
-        self._clock = clock or WALL
-        self._lock = threading.Lock()
-        self._ring: deque[JobEvent] = deque(maxlen=capacity)
-        self._seq = 0
-
-    def publish(self, name: str, job: Job, **data: Any) -> JobEvent:
-        with self._lock:
-            self._seq += 1
-            event = JobEvent(
-                seq=self._seq,
-                timestamp=self._clock.now(),
-                name=name,
-                tenant=job.tenant,
-                job_id=job.job_id,
-                data=data,
-            )
-            self._ring.append(event)
-            return event
-
-    def read_since(
-        self,
-        cursor: int,
-        max_events: int = 256,
-        tenant: str | None = None,
-    ) -> tuple[list[JobEvent], int, int]:
-        """Events after ``cursor``; returns ``(events, next_cursor, gap)``.
-
-        ``gap`` is ring-level (how many events of *any* tenant fell off
-        retention past the cursor); the tenant filter applies to the
-        returned slice only, so a quiet tenant still advances its cursor
-        past other tenants' traffic.
-        """
-        cursor = max(0, int(cursor))
-        max_events = max(1, int(max_events))
-        with self._lock:
-            if cursor > self._seq:
-                cursor = 0  # issued by an earlier incarnation (PROTOCOLS §1.5)
-            oldest = self._ring[0].seq if self._ring else self._seq + 1
-            gap = max(0, oldest - cursor - 1)
-            selected: list[JobEvent] = []
-            next_cursor = cursor
-            for event in self._ring:
-                if event.seq <= cursor:
-                    continue
-                if len(selected) >= max_events:
-                    break
-                next_cursor = event.seq
-                if tenant is None or event.tenant == tenant:
-                    selected.append(event)
-            return selected, next_cursor, gap
-
-
 class JobStore:
     """The durable job table: journal-backed, thread-safe.
 
@@ -206,7 +142,7 @@ class JobStore:
     def __init__(
         self,
         journal: Journal,
-        feed: JobFeed,
+        feed: CursorLog[JobEvent],
         clock: Clock | None = None,
     ):
         self._clock = clock or WALL
@@ -233,9 +169,7 @@ class JobStore:
         directory = Path(state_dir)
         directory.mkdir(parents=True, exist_ok=True)
         journal = Journal(directory / "gateway.jsonl", fsync=fsync)
-        store = cls(
-            journal, JobFeed(capacity=feed_capacity, clock=clock), clock=clock
-        )
+        store = cls(journal, CursorLog(feed_capacity), clock=clock)
         store._replay(journal.initial_replay.records)
         return store
 
@@ -335,6 +269,13 @@ class JobStore:
         return min(candidates, key=lambda j: (-j.priority, j.order))
 
     # -- transitions --------------------------------------------------------
+    def _publish(self, name: str, job: Job, **data: Any) -> None:
+        self.feed.append(
+            lambda seq: JobEvent(
+                seq, self._clock.now(), name, job.tenant, job.job_id, data
+            )
+        )
+
     def submit(
         self, tenant: str, spec: dict[str, Any], priority: int = 0
     ) -> Job:
@@ -359,7 +300,7 @@ class JobStore:
                 submitted_at=job.submitted_at,
             )
             self._jobs[job.job_id] = job
-        self.feed.publish("job.submitted", job, priority=job.priority)
+        self._publish("job.submitted", job, priority=job.priority)
         return job
 
     def mark_running(self, job_id: str, cell: str) -> Job:
@@ -376,7 +317,7 @@ class JobStore:
             job.state = RUNNING
             job.cell = cell
             job.started_at = started_at
-        self.feed.publish("job.started", job, cell=cell)
+        self._publish("job.started", job, cell=cell)
         return job
 
     def assign_trace(self, job_id: str, trace_id: str) -> Job:
@@ -422,7 +363,7 @@ class JobStore:
             job.finished_at = finished_at
             job.rounds = rounds
             job.error = error
-        self.feed.publish("job.finished", job, state=state, rounds=rounds)
+        self._publish("job.finished", job, state=state, rounds=rounds)
         return job
 
     def cancel(self, job_id: str, tenant: str | None = None) -> Job:
@@ -447,7 +388,7 @@ class JobStore:
                 job.finished_at = cancelled_at
             else:
                 job.cancel_requested = True
-        self.feed.publish(
+        self._publish(
             "job.cancelled", job, while_running=job.state == RUNNING
         )
         return job

@@ -3,9 +3,11 @@
 Verbs are spelled ``Job_Submit`` / ``Job_Status`` / ``Job_Cancel`` /
 ``Job_Poll`` — the RPC layer structurally refuses underscore-prefixed
 names, the same constraint that shaped ``Telemetry_Poll`` and
-``Recorder_Dump``. ``Job_Poll`` replies carry the identical
-``{"schema", "service", "cursor", "gap", "events"}`` shape as the
-telemetry poll (PROTOCOLS §1.5/§1.8).
+``Recorder_Dump``. ``Job_Poll`` is the cursor-poll contract of
+PROTOCOLS §1.5 over the store's job feed: one
+:class:`~repro.cursorlog.CursorLog` and one
+:func:`~repro.cursorlog.poll_reply` document, shared with
+``Telemetry_Poll`` and ``Obs_Scrape`` (schema ``repro-jobs-1``, §1.8).
 
 Tenant identity rides in the REQUEST envelope's ``tenant`` field (set
 ``Proxy.tenant``), which the daemon binds per-dispatch and this server

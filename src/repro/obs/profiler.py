@@ -102,9 +102,10 @@ class SpanProfiler:
     Thread-safe: each thread keeps its own last-transition stamps (a
     worker's interval is attributed to *that worker's* current span),
     and the shared aggregates sit behind one lock taken per transition
-    — two clock reads, two dict updates. The sampling hooks themselves
-    live in ``Tracer.start_span`` / ``Span.end`` and cost one attribute
-    read when no profiler is attached.
+    — one CPU-clock read (the wall stamp is the span's own), two dict
+    updates. The sampling hooks themselves live in ``Tracer.start_span``
+    / ``Span.end`` and cost one attribute read when no profiler is
+    attached.
     """
 
     def __init__(self, clock: Clock | None = None):
@@ -158,12 +159,12 @@ class SpanProfiler:
             state = self._local.state = {"wall": None, "cpu": None}
         return state
 
-    def _sample(self, owner: Span | None) -> None:
-        """Close this thread's open interval, attributing it to ``owner``."""
-        clock = self._clock
-        if clock is None:  # never attached; nothing meaningful to stamp
+    def _sample(self, owner: Span | None, now_wall: float) -> None:
+        """Close this thread's open interval at ``now_wall`` (a span's own
+        start or end stamp, so a span's self-time never exceeds its
+        duration), attributing it to ``owner``."""
+        if self._clock is None:  # never attached; nothing meaningful to stamp
             return
-        now_wall = clock.now()
         try:
             now_cpu = time.thread_time()
         except (AttributeError, OSError):  # pragma: no cover - exotic platforms
@@ -193,7 +194,7 @@ class SpanProfiler:
     def on_start(self, span: Span) -> None:
         """Tracer hook: a span was created (not yet necessarily current)."""
         # the interval that just ended belongs to whatever was innermost
-        self._sample(current_span())
+        self._sample(current_span(), span.start_time)
         parent_path = ()
         if span.parent_id is not None:
             with self._lock:
@@ -208,7 +209,7 @@ class SpanProfiler:
         """Tracer hook: a span ended (contextvar not yet restored)."""
         # prefer the innermost current span; fall back to the ending one
         # (spans ended off-thread or never made current)
-        self._sample(current_span() or span)
+        self._sample(current_span() or span, span.end_time)
         with self._lock:
             stats = self._ops.get(span.name)
             if stats is None:

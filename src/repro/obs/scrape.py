@@ -3,22 +3,25 @@ the tenant-keyed aggregator behind ``repro-ice top``.
 
 One :class:`ObservabilityServer` sits on each facility's control daemon
 and pages out that facility's :class:`TimeSeriesStore` rollup rows over
-the ``Obs_Scrape`` verb — the same cursor/gap polling contract as
-``Telemetry_Poll`` (PROTOCOLS.md §1.9). An :class:`ObsAggregator` holds
-one cursor per source (in-process stores and remote daemons mix
-freely), pulls whatever is new on each :meth:`ObsAggregator.refresh`,
-and folds the rows into a single tenant-keyed view: per-tenant rates,
-error rates, queue depth and which facilities contributed. The
-``repro-ice top`` subcommand and ``Session.top()`` render that view —
-optionally joined with live SLO burn rates — via :func:`format_top`.
+the ``Obs_Scrape`` verb — the cursor-poll contract of PROTOCOLS.md §1.5,
+served by :mod:`repro.cursorlog` as ``Telemetry_Poll`` and ``Job_Poll``
+are (row schema in §1.9). An :class:`ObsAggregator` holds one
+:class:`~repro.cursorlog.CursorTail` per source (in-process stores and
+remote daemons mix freely), pulls whatever is new on each
+:meth:`ObsAggregator.refresh`, and folds the rows into a single
+tenant-keyed view: per-tenant rates, error rates, queue depth and which
+facilities contributed. The ``repro-ice top`` subcommand and
+``Session.top()`` render that view — optionally joined with live SLO
+burn rates — via :func:`format_top`.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable
+from typing import Any
 
+from repro.cursorlog import CursorTail, poll_reply
 from repro.rpc.expose import expose
 from repro.obs.timeseries import SCHEMA, TimeSeriesStore
 
@@ -34,10 +37,8 @@ class ObservabilityServer:
     """Control-channel face of one facility's time-series store.
 
     Registered on the control daemon (object id ``"ACL_Observability"``)
-    next to the telemetry and flight-recorder servers. Cursor-based like
-    ``Telemetry_Poll``: the caller sends the highest row sequence it has
-    seen and receives only newer rollup rows plus a ``gap`` count when
-    its cursor fell off the export ring.
+    next to the telemetry and flight-recorder servers; a cursor poll
+    over the store's export ring (PROTOCOLS §1.5).
     """
 
     OBJECT_ID = "ACL_Observability"
@@ -53,26 +54,8 @@ class ObservabilityServer:
         max_rows: int = 512,
     ) -> dict[str, Any]:
         """Rollup rows newer than ``cursor``, the next cursor, any gap."""
-        rows, next_cursor, gap = self._store.scrape(
-            int(cursor), selectors, int(max_rows)
-        )
-        return {
-            "schema": SCHEMA,
-            "service": self._service,
-            "cursor": next_cursor,
-            "gap": gap,
-            "rows": rows,
-        }
-
-
-class _Source:
-    __slots__ = ("fetch", "cursor", "gap", "failures")
-
-    def __init__(self, fetch: Callable[[int, dict | None, int], dict[str, Any]]):
-        self.fetch = fetch
-        self.cursor = 0
-        self.gap = 0
-        self.failures = 0
+        page = self._store.scrape(cursor, selectors, max_rows)
+        return poll_reply(SCHEMA, self._service, page, key="rows")
 
 
 class ObsAggregator:
@@ -87,29 +70,17 @@ class ObsAggregator:
 
     def __init__(self, retain_rows: int = 8192):
         self._lock = threading.Lock()
-        self._sources: dict[str, _Source] = {}
+        self._sources: dict[str, CursorTail] = {}
         self._rows: deque[dict[str, Any]] = deque(maxlen=retain_rows)
 
     def add_store(self, name: str, store: TimeSeriesStore) -> None:
         """Scrape an in-process store (the local half of an ICE)."""
-
-        def fetch(cursor: int, selectors: dict | None, max_rows: int) -> dict:
-            rows, next_cursor, gap = store.scrape(cursor, selectors, max_rows)
-            return {"rows": rows, "cursor": next_cursor, "gap": gap}
-
-        with self._lock:
-            self._sources[name] = _Source(fetch)
+        self.add_remote(name, ObservabilityServer(store, service=name))
 
     def add_remote(self, name: str, client: Any) -> None:
         """Scrape a remote daemon via its ``ACL_Observability`` proxy."""
-
-        def fetch(cursor: int, selectors: dict | None, max_rows: int) -> dict:
-            return client.Obs_Scrape(
-                cursor=cursor, selectors=selectors, max_rows=max_rows
-            )
-
         with self._lock:
-            self._sources[name] = _Source(fetch)
+            self._sources[name] = CursorTail(client.Obs_Scrape, key="rows")
 
     def sources(self) -> list[str]:
         with self._lock:
@@ -129,15 +100,11 @@ class ObsAggregator:
         with self._lock:
             sources = list(self._sources.items())
         pulled = 0
-        for name, source in sources:
+        for name, tail in sources:
             try:
-                reply = source.fetch(source.cursor, selectors, max_rows)
+                rows, _ = tail.poll(selectors=selectors, max_rows=max_rows)
             except Exception:  # noqa: BLE001 - a dead facility is data, not a crash
-                source.failures += 1
                 continue
-            rows = reply.get("rows", [])
-            source.cursor = int(reply.get("cursor", source.cursor))
-            source.gap += int(reply.get("gap", 0))
             with self._lock:
                 for row in rows:
                     row = dict(row)
@@ -157,8 +124,8 @@ class ObsAggregator:
         """
         with self._lock:
             rows = list(self._rows)
-            gaps = {name: s.gap for name, s in self._sources.items()}
-            failures = {name: s.failures for name, s in self._sources.items()}
+            gaps = {name: t.gap_total for name, t in self._sources.items()}
+            failures = {name: t.failures for name, t in self._sources.items()}
             facilities = sorted(self._sources)
         tenants: dict[str, dict[str, dict[str, Any]]] = {}
         for row in rows:

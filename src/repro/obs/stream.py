@@ -16,9 +16,8 @@ flight. The pieces:
   daemon-side bus (object id ``"ACL_Telemetry"``; the verb is spelled
   ``Telemetry_Poll`` because the RPC layer structurally refuses
   underscore-prefixed names, the same constraint that shaped
-  ``Recorder_Dump``). Polling is cursor-based: the client sends the
-  last sequence number it has seen and receives everything newer, plus
-  a ``gap`` count when its cursor has fallen off the retention ring.
+  ``Recorder_Dump``), served from the bus's
+  :class:`~repro.cursorlog.CursorLog`.
 - :class:`SessionStream` — what ``session.stream()`` returns: tails the
   local (dgx-session) bus and polls the remote (acl-daemon) bus, then
   merges both halves into one time-ordered feed so a workflow-task span
@@ -38,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.clock import Clock, WALL
+from repro.cursorlog import CursorLog, CursorTail, poll_reply
 from repro.logging_utils import Event, EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer, current_span
@@ -203,15 +203,13 @@ class TelemetryBus:
         metrics: MetricsRegistry | None = None,
         history: int = 1024,
     ):
-        if history <= 0:
-            raise ValueError(f"history must be > 0, got {history}")
         self.service = service
         self.clock = clock or WALL
         self.metrics = metrics
-        self._lock = threading.Lock()
-        self._seq = 0
-        self._history: deque[TelemetryEvent] = deque(maxlen=history)
-        self._subscriptions: list[TelemetrySubscription] = []
+        self._log: CursorLog[TelemetryEvent] = CursorLog(history)
+        #: copy-on-write, so publish reads it without a lock
+        self._subscriptions: tuple[TelemetrySubscription, ...] = ()
+        self._subscribe_lock = threading.Lock()
         self._detach_fns: list[Callable[[], None]] = []
         self._dropped_counter = (
             metrics.counter(
@@ -239,10 +237,9 @@ class TelemetryBus:
         **data: Any,
     ) -> TelemetryEvent:
         """Put one event on the bus; returns it (mostly for tests)."""
-        with self._lock:
-            self._seq += 1
-            event = TelemetryEvent(
-                seq=self._seq,
+        event = self._log.append(
+            lambda seq: TelemetryEvent(
+                seq=seq,
                 timestamp=(
                     timestamp if timestamp is not None else self.clock.now()
                 ),
@@ -252,9 +249,8 @@ class TelemetryBus:
                 trace_id=trace_id,
                 data=data,
             )
-            self._history.append(event)
-            subscriptions = list(self._subscriptions)
-        drops = sum(1 for sub in subscriptions if sub._offer(event))
+        )
+        drops = sum(1 for sub in self._subscriptions if sub._offer(event))
         # counters are touched outside the bus lock: the increment runs
         # registry listeners, and one of them may be this very bus
         if self._published_counter is not None:
@@ -267,50 +263,25 @@ class TelemetryBus:
     def subscribe(self, capacity: int = 256) -> TelemetrySubscription:
         """A new drop-oldest ring fed by every subsequent publish."""
         sub = TelemetrySubscription(self, capacity)
-        with self._lock:
-            self._subscriptions.append(sub)
+        with self._subscribe_lock:
+            self._subscriptions += (sub,)
         return sub
 
     def _remove_subscription(self, sub: TelemetrySubscription) -> None:
-        with self._lock:
-            try:
-                self._subscriptions.remove(sub)
-            except ValueError:
-                pass
+        with self._subscribe_lock:
+            self._subscriptions = tuple(
+                s for s in self._subscriptions if s is not sub
+            )
 
     def read_since(
         self, cursor: int = 0, max_events: int = 256
     ) -> tuple[list[TelemetryEvent], int, int]:
-        """Cursor read over the retention ring (the polling protocol).
-
-        Args:
-            cursor: highest sequence number the caller has already seen
-                (0 on the first poll).
-            max_events: page-size bound.
-
-        Returns:
-            ``(events, next_cursor, gap)`` — events with ``seq > cursor``
-            in order; the cursor to send next time; and how many events
-            the caller permanently missed because they fell off the ring
-            before this poll (0 when none).
-        """
-        if max_events <= 0:
-            return [], cursor, 0
-        with self._lock:
-            if cursor > self._seq:
-                cursor = 0  # issued by an earlier incarnation (PROTOCOLS §1.5)
-            if not self._history:
-                return [], max(cursor, self._seq), 0
-            oldest = self._history[0].seq
-            gap = max(0, oldest - cursor - 1) if cursor < oldest else 0
-            events = [e for e in self._history if e.seq > cursor][:max_events]
-        next_cursor = events[-1].seq if events else max(cursor, oldest - 1 + gap)
-        return events, next_cursor, gap
+        """``(events, next_cursor, gap)`` from the retention ring (§1.5)."""
+        return self._log.read_since(cursor, max_events)
 
     @property
     def latest_seq(self) -> int:
-        with self._lock:
-            return self._seq
+        return self._log.latest_seq
 
     # -- producer attachments ----------------------------------------------
     def attach_tracer(
@@ -416,10 +387,8 @@ class TelemetryServer:
     Registered on the control daemon (object id ``"ACL_Telemetry"``)
     next to the workstation and flight-recorder servers, so a client
     holding the control URI can tail ACL-side telemetry while a run is
-    in flight. Cursor-based rather than push-based: the simulated (and
-    real) control channel is request/reply, so the client polls with the
-    last sequence number it saw and the reply carries only newer events
-    plus a ``gap`` count when the cursor fell off the retention ring.
+    in flight. A cursor poll (PROTOCOLS §1.5), not a push: the control
+    channel is request/reply.
     """
 
     OBJECT_ID = "ACL_Telemetry"
@@ -431,16 +400,12 @@ class TelemetryServer:
         self, cursor: int = 0, max_events: int = 256
     ) -> dict[str, Any]:
         """Events newer than ``cursor``, the next cursor, and any gap."""
-        events, next_cursor, gap = self._bus.read_since(
-            int(cursor), int(max_events)
+        return poll_reply(
+            SCHEMA,
+            self._bus.service,
+            self._bus.read_since(cursor, max_events),
+            encode=TelemetryEvent.to_wire,
         )
-        return {
-            "schema": SCHEMA,
-            "service": self._bus.service,
-            "cursor": next_cursor,
-            "gap": gap,
-            "events": [e.to_wire() for e in events],
-        }
 
 
 class SessionStream:
@@ -474,29 +439,35 @@ class SessionStream:
         self._subscription = bus.subscribe(capacity=capacity)
         self._remote_client_fn = remote_client_fn
         self._remote_client: Any | None = None
-        self._remote_broken = False
-        self._remote_cursor = 0
+        self._remote = CursorTail(self._fetch_remote)
         self._max_remote_events = max_remote_events
-        self.remote_gap_total = 0
-        self.remote_poll_failures = 0
 
     @property
     def dropped(self) -> int:
         """Local events lost to this stream's own ring overflow."""
         return self._subscription.dropped
 
+    @property
+    def remote_gap_total(self) -> int:
+        return self._remote.gap_total
+
+    @property
+    def remote_poll_failures(self) -> int:
+        return self._remote.failures
+
+    def _fetch_remote(self, cursor: int) -> Any:
+        if self._remote_client is None:
+            self._remote_client = self._remote_client_fn()
+        return self._remote_client.Telemetry_Poll(
+            cursor=cursor, max_events=self._max_remote_events
+        )
+
     def _poll_remote(self) -> list[TelemetryEvent]:
-        if self._remote_client_fn is None or self._remote_broken:
+        if self._remote_client_fn is None:
             return []
         try:
-            if self._remote_client is None:
-                self._remote_client = self._remote_client_fn()
-            reply = self._remote_client.Telemetry_Poll(
-                cursor=self._remote_cursor,
-                max_events=self._max_remote_events,
-            )
+            raw_events, gap = self._remote.poll()
         except Exception as exc:  # noqa: BLE001 - stream degrades, never hangs
-            self.remote_poll_failures += 1
             # drop the proxy so the next drain reconnects from scratch;
             # the synthetic event reaches the caller through the local
             # subscription this very drain is about to poll
@@ -506,14 +477,10 @@ class SessionStream:
                 "stream.remote_poll_failed",
                 error_type=type(exc).__name__,
                 message=str(exc),
-                failures=self.remote_poll_failures,
+                failures=self._remote.failures,
             )
             return []
-        if not isinstance(reply, dict):
-            return []
-        gap = int(reply.get("gap") or 0)
         if gap > 0:
-            self.remote_gap_total += gap
             if self._bus.metrics is not None:
                 self._bus.metrics.counter("obs.stream.dropped_total").inc(
                     gap, half="remote"
@@ -522,15 +489,10 @@ class SessionStream:
                 KIND_STREAM,
                 "stream.cursor_gap",
                 missed=gap,
-                service=str(reply.get("service", "?")),
+                service=self._remote.service,
             )
-        self._remote_cursor = int(reply.get("cursor") or self._remote_cursor)
-        out: list[TelemetryEvent] = []
-        for raw in reply.get("events", []):
-            event = TelemetryEvent.from_wire(raw)
-            if event is not None:
-                out.append(event)
-        return out
+        events = (TelemetryEvent.from_wire(raw) for raw in raw_events)
+        return [event for event in events if event is not None]
 
     def drain(self, max_events: int | None = None) -> list[TelemetryEvent]:
         """Everything new on both halves, merged in time order.

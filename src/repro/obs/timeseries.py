@@ -10,10 +10,10 @@ latency-threshold fractions can be asked for any recent window without
 ever storing raw samples.
 
 Memory is fixed by construction: bounded ring per (series, resolution),
-a bounded export ring of closed base-resolution cells (the scrape feed,
-cursor/gap contract identical to ``TelemetryBus.read_since``), and a cap
-on the number of distinct series. Everything beyond a cap is dropped and
-counted, never buffered.
+a bounded export log of closed base-resolution cells (the scrape feed, a
+:class:`~repro.cursorlog.CursorLog` like the telemetry bus and the job
+feed, PROTOCOLS §1.5), and a cap on the number of distinct series.
+Everything beyond a cap is dropped and counted, never buffered.
 
 Wire schema for scraped rows: ``repro-tsdb-1`` (PROTOCOLS.md §1.9).
 """
@@ -25,6 +25,7 @@ from collections import deque
 from typing import Any, Callable, Iterable
 
 from repro.clock import Clock, WallClock
+from repro.cursorlog import CursorLog
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
@@ -152,8 +153,7 @@ class TimeSeriesStore:
         self._max_series = max_series
         self._lock = threading.Lock()
         self._series: dict[tuple[str, tuple[tuple[str, str], ...]], _Series] = {}
-        self._export: deque[dict[str, Any]] = deque(maxlen=export_capacity)
-        self._export_seq = 0
+        self._export: CursorLog[dict[str, Any]] = CursorLog(export_capacity)
         self._registry: MetricsRegistry | None = None
         self._only: Callable[[str], bool] | None = None
         self._unsubscribe: Callable[[], None] | None = None
@@ -282,10 +282,12 @@ class TimeSeriesStore:
     def _close_cell(self, series: _Series, res: float, cell: _Rollup) -> None:
         """Retire one cell into its ring (and the scrape feed at base res)."""
         series.rings[res].append(cell)
-        if res == self.base_resolution:
-            self._export_seq += 1
-            row: dict[str, Any] = {
-                "seq": self._export_seq,
+        if res != self.base_resolution:
+            return
+
+        def row(seq: int) -> dict[str, Any]:
+            out: dict[str, Any] = {
+                "seq": seq,
                 "name": series.name,
                 "kind": series.kind,
                 "labels": dict(series.labels),
@@ -298,8 +300,10 @@ class TimeSeriesStore:
                 "last": cell.last,
             }
             if cell.buckets is not None:
-                row["buckets"] = list(cell.buckets)
-            self._export.append(row)
+                out["buckets"] = list(cell.buckets)
+            return out
+
+        self._export.append(row)
 
     def flush(self, now: float | None = None, force: bool = False) -> int:
         """Close open cells whose window has ended (all of them if forced).
@@ -455,37 +459,19 @@ class TimeSeriesStore:
     ) -> tuple[list[dict[str, Any]], int, int]:
         """Cursor read over the export ring (the ``Obs_Scrape`` contract).
 
-        Same shape as ``TelemetryBus.read_since``: rows with ``seq >
-        cursor`` oldest-first, the cursor to send next time, and how
-        many rows fell off the ring unseen. ``selectors`` filters rows
-        without stalling the cursor (filtered-out rows still advance
-        it): the ``name`` key prefix-matches the metric name, every
-        other key is exact label equality. A scrape force-flushes open
-        cells first so bursts younger than one resolution are visible.
+        Returns ``(rows, next_cursor, gap)`` under the rules of PROTOCOLS
+        §1.5. ``selectors`` filters rows without stalling the cursor: the
+        ``name`` key prefix-matches the metric name, every other key is
+        exact label equality. A scrape force-flushes open cells first so
+        bursts younger than one resolution are visible.
         """
         if flush:
             self.flush(force=True)
-        if max_rows <= 0:
-            return [], cursor, 0
-        name_sel = selectors.get("name") if selectors else None
-        with self._lock:
-            if cursor > self._export_seq:
-                cursor = 0  # issued by an earlier incarnation (PROTOCOLS §1.5)
-            if not self._export:
-                return [], max(cursor, self._export_seq), 0
-            oldest = self._export[0]["seq"]
-            gap = max(0, oldest - cursor - 1) if cursor < oldest else 0
-            rows: list[dict[str, Any]] = []
-            scanned_to = max(cursor, oldest - 1 + gap)
-            for row in self._export:
-                if row["seq"] <= cursor:
-                    continue
-                scanned_to = row["seq"]
-                if name_sel is not None and not row["name"].startswith(name_sel):
-                    continue
-                if not _matches(row["labels"], selectors):
-                    continue
-                rows.append(dict(row))
-                if len(rows) >= max_rows:
-                    break
-        return rows, scanned_to, gap
+        prefix = (selectors or {}).get("name") or ""
+        rows, next_cursor, gap = self._export.read_since(
+            cursor,
+            max_rows,
+            lambda row: row["name"].startswith(prefix)
+            and _matches(row["labels"], selectors),
+        )
+        return [dict(row) for row in rows], next_cursor, gap

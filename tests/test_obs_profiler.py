@@ -49,6 +49,32 @@ class TestSelfTimeAttribution:
         assert stats["count"] == 3
         assert stats["self_s"] == pytest.approx(1.5)
 
+    def test_self_time_never_exceeds_duration_when_hooks_run_late(self):
+        """Each clock read lands later than the last, as on a real clock
+        where the profiler hook runs after the span stamped its time.
+        Intervals must close at the spans' own stamps, or a span's
+        self-time outgrows its duration."""
+
+        class AcceleratingClock(VirtualClock):
+            step = 0.0
+
+            def now(self):
+                self.step += 1.0
+                self.advance(self.step)
+                return super().now()
+
+        clock = AcceleratingClock()
+        tracer = Tracer("prof", clock=clock)
+        profiler = SpanProfiler(clock=clock)
+        assert profiler.attach(tracer)
+        with tracer.start_as_current_span("outer"):
+            with tracer.start_as_current_span("inner"):
+                pass
+        ops = profiler.profile()["operations"]
+        profiler.detach()
+        assert ops["inner"]["self_s"] == pytest.approx(ops["inner"]["total_s"])
+        assert ops["outer"]["self_s"] <= ops["outer"]["total_s"]
+
     def test_error_spans_are_counted(self, clocked):
         clock, tracer, profiler = clocked
         with pytest.raises(RuntimeError):

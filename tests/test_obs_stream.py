@@ -282,6 +282,35 @@ class TestSessionStream:
         assert {"e4", "e5"} <= {e.name for e in events}
         stream.close()
 
+    def test_restarted_daemon_with_empty_bus_is_read_from_its_start(self):
+        """A restarted daemon's empty bus replies with cursor 0. The
+        stream must send 0 next time instead of keeping its pre-restart
+        cursor, which would skip the new incarnation's first events."""
+        local = TelemetryBus("dgx-session", clock=VirtualClock())
+        daemon = {"bus": TelemetryBus("acl-daemon", clock=VirtualClock())}
+
+        class InProcessClient:
+            def Telemetry_Poll(self, cursor=0, max_events=256):
+                return TelemetryServer(daemon["bus"]).Telemetry_Poll(
+                    cursor, max_events
+                )
+
+            def close(self):
+                pass
+
+        stream = SessionStream(local, remote_client_fn=InProcessClient)
+        for i in range(50):
+            daemon["bus"].publish("event", f"old{i}")
+        assert len(stream.drain()) == 50
+        daemon["bus"] = TelemetryBus("acl-daemon", clock=VirtualClock())
+        assert stream.drain() == []  # one poll sees the empty bus
+        for i in range(60):
+            daemon["bus"].publish("event", f"new{i}")
+        names = [e.name for e in stream.drain()]
+        assert names == [f"new{i}" for i in range(60)]
+        assert stream.remote_gap_total == 0
+        stream.close()
+
     def test_stream_without_remote_half_is_local_only(self):
         bus = TelemetryBus("dgx-session", clock=VirtualClock())
         stream = SessionStream(bus, remote_client_fn=None)

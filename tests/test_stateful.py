@@ -7,7 +7,11 @@ components and check the conservation laws a lab cares about:
   sum to the initial inventory, whatever order of withdraw/dispense/
   drain operations occurs (or fails);
 - **vials are conserved**: the robot never duplicates or loses a vial
-  across any pick/move/place sequence, legal or rejected.
+  across any pick/move/place sequence, legal or rejected;
+- **polled items are conserved**: every item appended to a cursor log
+  and passed by a reader's cursor was delivered once, counted in one
+  ``gap`` or filtered out, whatever capacities, page sizes, filters and
+  producer restarts occur.
 """
 
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -22,6 +27,7 @@ from hypothesis.stateful import (
 
 from repro.chemistry.cell import ElectrochemicalCell
 from repro.chemistry.species import ferrocene_solution
+from repro.cursorlog import CursorLog, CursorTail, poll_reply
 from repro.errors import ReproError
 from repro.instruments.jkem.devices import SyringePump
 from repro.instruments.jkem.plumbing import PortMap, Reservoir
@@ -144,11 +150,88 @@ class RobotVialConservation(RuleBasedStateMachine):
         assert self.robot.holding is None or hasattr(self.robot.holding, "name")
 
 
+class CursorLogConservation(RuleBasedStateMachine):
+    """Random appends and polls over a CursorLog read by a CursorTail.
+
+    The model books the fate of every sequence number the reader's
+    cursor passes: ``delivered``, ``gap`` (evicted before it was read)
+    or ``filtered``. Within one incarnation of the log the cursor never
+    moves backwards and nothing is booked twice.
+    """
+
+    capacities = st.integers(min_value=1, max_value=8)
+
+    @initialize(capacity=capacities)
+    def start(self, capacity):
+        self.tail = CursorTail(
+            lambda cursor, limit, match: poll_reply(
+                "test-1", "log", self.log.read_since(cursor, limit, match)
+            )
+        )
+        self._new_incarnation(capacity)
+
+    def _new_incarnation(self, capacity):
+        self.log = CursorLog(capacity)
+        self.capacity = capacity
+        self.fate = {}
+
+    @rule(n=st.integers(min_value=1, max_value=12))
+    def append(self, n):
+        for _ in range(n):
+            self.log.append(lambda seq: seq)
+
+    @rule(
+        limit=st.integers(min_value=-1, max_value=6),
+        modulus=st.sampled_from([None, 2, 3]),
+    )
+    def poll(self, limit, modulus):
+        match = None if modulus is None else (lambda seq: seq % modulus == 0)
+        latest = self.log.latest_seq
+        oldest = max(1, latest - self.capacity + 1)
+        before = self.tail.cursor
+        items, gap = self.tail.poll(limit=limit, match=match)
+        after = self.tail.cursor
+        assert before <= after <= latest
+        assert items == sorted(items)
+        assert all(before < seq <= after for seq in items)
+        assert len(items) <= max(limit, 0)
+        if limit >= 1 and len(items) < limit:
+            assert after == latest  # a short page reads to the end
+        booked_gap = 0
+        for seq in range(before + 1, after + 1):
+            assert seq not in self.fate
+            if seq in items:
+                self.fate[seq] = "delivered"
+            elif seq < oldest:
+                self.fate[seq] = "gap"
+                booked_gap += 1
+            else:
+                assert match is not None and not match(seq)
+                self.fate[seq] = "filtered"
+        assert gap == booked_gap
+
+    @rule(capacity=capacities)
+    def restart(self, capacity):
+        """A new incarnation: the tail's next poll meets an empty log,
+        whose cursor 0 the tail must take over."""
+        self._new_incarnation(capacity)
+        assert self.tail.poll(limit=1, match=None) == ([], 0)
+        assert self.tail.cursor == 0
+
+    @invariant()
+    def every_passed_item_booked_once(self):
+        assert sorted(self.fate) == list(range(1, self.tail.cursor + 1))
+
+
 TestLiquidAccounting = LiquidAccounting.TestCase
 TestLiquidAccounting.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
 )
 TestRobotVialConservation = RobotVialConservation.TestCase
 TestRobotVialConservation.settings = settings(
+    max_examples=25, stateful_step_count=30, deadline=None
+)
+TestCursorLogConservation = CursorLogConservation.TestCase
+TestCursorLogConservation.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
 )
